@@ -192,10 +192,17 @@ def cmd_sign(args) -> int:
     return 0
 
 
+def _frame_radius(args) -> int:
+    if args.radius < 1:
+        raise InputError(f"--radius must be at least 1, got {args.radius}")
+    return args.radius
+
+
 def cmd_classify(args) -> int:
+    radius = _frame_radius(args)
     engine = parse_engine(args.engine)
     g = _parse_element(args, args.word)
-    frame = build_frame(engine, _family_for(args), radius=args.radius)
+    frame = build_frame(engine, _family_for(args), radius=radius)
     emp = classify_empirical(frame, g, power_bound=args.power_bound)
     if isinstance(g, PLMap):
         pred = classify_predicted(g, args.horograding)
@@ -242,9 +249,10 @@ def _emit_svg(frame, gens, out) -> None:
 
 
 def cmd_realize(args) -> int:
+    radius = _frame_radius(args)
     engine = parse_engine(args.engine)
     gens = _family_for(args)
-    frame = build_frame(engine, gens, radius=args.radius)
+    frame = build_frame(engine, gens, radius=radius)
     emit = _emit_csv if args.emit == "csv" else _emit_svg
     if args.output:
         with open(args.output, "w") as out:

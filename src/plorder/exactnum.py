@@ -207,6 +207,38 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Exact primality for n < PRIME_TEST_LIMIT (Miller-Rabin; the first
+    thirteen primes are witnesses for every composite below that bound,
+    Sorenson and Webster 2015)."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"primality of {n} is not decided above {PRIME_TEST_LIMIT}")
+    if n < 2:
+        return False
+    for p in _WITNESSES:
+        if n % p == 0:
+            return n == p
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def exponent_vector(r: Fraction, primes: list[int]) -> list[int]:
     """Prime-exponent vector of r over the given primes.
 

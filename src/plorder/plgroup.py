@@ -86,26 +86,43 @@ class PLMap:
         for i, b in enumerate(bps):
             if sl[i] * b + off[i] != sl[i + 1] * b + off[i + 1]:
                 raise ValueError(f"discontinuous at {b}")
-        # canonical: drop breakpoints whose adjacent pieces coincide
-        i = 0
-        while i < len(bps):
-            if sl[i] == sl[i + 1] and off[i] == off[i + 1]:
-                del bps[i], sl[i + 1], off[i + 1]
-            else:
-                i += 1
+        self._fill(model, bps, sl, off)
         if model == "unit":
-            if any(not (0 < b < 1) for b in bps):
+            if any(not (0 < b < 1) for b in self.breakpoints):
                 raise ValueError("unit-model breakpoints must lie in (0,1)")
             if off[0] != 0:
                 raise ValueError("unit-model map must fix 0")
             if sl[-1] + off[-1] != 1:
                 raise ValueError("unit-model map must fix 1")
+
+    @classmethod
+    def _trusted(cls, model: str, bps: list, slopes: list, offsets: list) -> "PLMap":
+        """Build a map from pieces without validating them.
+
+        Invariant: the callers pass the pieces of an already-valid map (the
+        composite or inverse of valid maps): Fractions, positive slopes,
+        strictly increasing breakpoints, continuity, and for the unit model
+        breakpoints in (0,1) and the endpoints fixed.  Only canonicalization
+        and hashing are done here; every outside input goes through PLMap().
+        """
+        obj = object.__new__(cls)
+        obj._fill(model, bps, slopes, offsets)
+        return obj
+
+    def _fill(self, model, bps, slopes, offsets):
+        # canonical: drop breakpoints whose adjacent pieces coincide
+        keep_b, keep_s, keep_o = [], [slopes[0]], [offsets[0]]
+        for b, s, o in zip(bps, slopes[1:], offsets[1:]):
+            if s != keep_s[-1] or o != keep_o[-1]:
+                keep_b.append(b)
+                keep_s.append(s)
+                keep_o.append(o)
+        keep_b, keep_s, keep_o = tuple(keep_b), tuple(keep_s), tuple(keep_o)
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "breakpoints", tuple(bps))
-        object.__setattr__(self, "slopes", tuple(sl))
-        object.__setattr__(self, "offsets", tuple(off))
-        object.__setattr__(self, "_hash",
-                           hash((model, tuple(bps), tuple(sl), tuple(off))))
+        object.__setattr__(self, "breakpoints", keep_b)
+        object.__setattr__(self, "slopes", keep_s)
+        object.__setattr__(self, "offsets", keep_o)
+        object.__setattr__(self, "_hash", hash((model, keep_b, keep_s, keep_o)))
 
     def __setattr__(self, *a):
         raise AttributeError("PLMap is immutable")
@@ -136,10 +153,8 @@ class PLMap:
             s = (y2 - y1) / (x2 - x1)
             slopes.append(s)
             offsets.append(y1 - s * x1)
+        # interior knots only; for the line model the outer segments are germs
         bps = [x for x, _ in pts[1:-1]]
-        if model == "line":
-            # interior knots only; the outer segments act as germs
-            return cls(model, bps, slopes, offsets)
         return cls(model, bps, slopes, offsets)
 
     @classmethod
@@ -155,7 +170,8 @@ class PLMap:
         return bisect_right(self.breakpoints, x)
 
     def __call__(self, x) -> Fraction:
-        x = _frac(x)
+        if not isinstance(x, Fraction):
+            x = _frac(x)
         if self.model == "unit" and not (0 <= x <= 1):
             raise OutOfDomain(f"{x} outside [0,1]")
         i = self.piece_index(x)
@@ -181,47 +197,47 @@ class PLMap:
     # -- group law ----------------------------------------------------------
 
     def inverse(self) -> "PLMap":
-        bps = [self(b) for b in self.breakpoints]
+        bps = [s * b + o for b, s, o in zip(self.breakpoints, self.slopes, self.offsets)]
         slopes = [1 / s for s in self.slopes]
         offsets = [-o / s for s, o in zip(self.slopes, self.offsets)]
-        return PLMap(self.model, bps, slopes, offsets)
-
-    def _samples(self, bps: list[Fraction]) -> list[Fraction]:
-        """One interior sample point per piece of a breakpoint list."""
-        if not bps:
-            return [Fraction(1, 2)] if self.model == "unit" else [Fraction(0)]
-        out = []
-        if self.model == "unit":
-            out.append(bps[0] / 2)
-        else:
-            out.append(bps[0] - 1)
-        for b1, b2 in zip(bps, bps[1:]):
-            out.append((b1 + b2) / 2)
-        if self.model == "unit":
-            out.append((bps[-1] + 1) / 2)
-        else:
-            out.append(bps[-1] + 1)
-        return out
+        return PLMap._trusted(self.model, bps, slopes, offsets)
 
     def __mul__(self, other: "PLMap") -> "PLMap":
-        """(f * g)(x) = f(g(x))."""
+        """(f * g)(x) = f(g(x)), by one ordered merge of the two piece lists.
+
+        Walk g's pieces x -> a*x + c from left to right.  Inside each piece,
+        every breakpoint b of f strictly inside the piece's image gives a
+        breakpoint (b - c)/a of the product; between consecutive breakpoints
+        the product is f's piece (fs, fo) after g's, i.e. slope fs*a and
+        offset fs*c + fo.  No inverse is built and no point is evaluated.
+        """
         if not isinstance(other, PLMap):
             return NotImplemented
         if self.model != other.model:
             raise ModelMismatch(f"{self.model} vs {other.model}")
-        ginv = other.inverse()
-        cand = set(other.breakpoints)
-        cand.update(ginv(b) for b in self.breakpoints)
-        if self.model == "unit":
-            cand = {b for b in cand if 0 < b < 1}
-        bps = sorted(cand)
-        slopes, offsets = [], []
-        for x in self._samples(bps):
-            gx = other(x)
-            s = self.slopes[self.piece_index(gx)] * other.slopes[other.piece_index(x)]
-            slopes.append(s)
-            offsets.append(self(gx) - s * x)
-        return PLMap(self.model, bps, slopes, offsets)
+        fb, fs, fo = self.breakpoints, self.slopes, self.offsets
+        gb = other.breakpoints
+        nf, ng = len(fb), len(gb)
+        bps, slopes, offsets = [], [], []
+        j = 0  # f's piece at the image of the current point
+        for i, (a, c) in enumerate(zip(other.slopes, other.offsets)):
+            # image of the piece's right end; the last piece reaches the end
+            # of the domain, which no breakpoint of f lies beyond
+            top = a * gb[i] + c if i < ng else None
+            while j < nf and (top is None or fb[j] < top):
+                s = fs[j]
+                slopes.append(s * a)
+                offsets.append(s * c + fo[j])
+                bps.append((fb[j] - c) / a)
+                j += 1
+            s = fs[j]
+            slopes.append(s * a)
+            offsets.append(s * c + fo[j])
+            if top is not None:
+                bps.append(gb[i])
+                if j < nf and fb[j] == top:
+                    j += 1
+        return PLMap._trusted(self.model, bps, slopes, offsets)
 
     def __pow__(self, n: int) -> "PLMap":
         if n < 0:
@@ -234,9 +250,6 @@ class PLMap:
             base = base * base
             n >>= 1
         return out
-
-    def conjugate_by(self, h: "PLMap") -> "PLMap":
-        return h * self * h.inverse()
 
     def __eq__(self, other):
         if not isinstance(other, PLMap):

@@ -14,7 +14,7 @@ import enum
 import random
 from fractions import Fraction
 
-from .exactnum import LatticePreorder, NotInGroup, SlopeGroup, factorize
+from .exactnum import LatticePreorder, NotInGroup, SlopeGroup, factorize, is_prime
 from .plgroup import PLMap, f_big_generator, tau1
 
 
@@ -71,10 +71,11 @@ class DiscreteInvariantSet:
         self.anchor = anchor
         self.seeds = seeds
         self._up = anchor if anchor(s0) > s0 else anchor.inverse()
+        self._down = self._up.inverse()
 
     def points_desc(self, upper: Fraction):
         """K-points strictly below upper, in decreasing order (lazy)."""
-        down = self._up.inverse()
+        down = self._down
         heads = []
         for s in self.seeds:
             x = s
@@ -265,7 +266,10 @@ def combined_prime_sign(g: PLMap) -> Sign:
 
 class PrimeJumpEngine:
     def __init__(self, q: int):
-        self.q = int(q)
+        q = int(q)
+        if not is_prime(q):
+            raise ValueError(f"prime:q needs a prime q >= 2, got {q}")
+        self.q = q
 
     def sign(self, g: PLMap) -> Sign:
         return prime_jump_sign(g, self.q)
@@ -321,10 +325,14 @@ class EscapingEngine:
 
     def __init__(self, ctx: EscapingContext | None = None):
         self.ctx = ctx or EscapingContext()
+        self._germ_inverse = {}  # t -> f0^-t, the factor that kills g's right germ
 
     def sign(self, g: PLMap) -> Sign:
         t = self.ctx.tau(g)
-        v = (self.ctx.f0 ** (-t)) * g
+        h = self._germ_inverse.get(t)
+        if h is None:
+            h = self._germ_inverse[t] = self.ctx.f0 ** (-t)
+        v = h * g
         x = xg(v, self.ctx.orbit)
         if x is None:
             return Sign.RESIDUE

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from plorder.exactnum import LatticePreorder, SlopeGroup
 from plorder.plante import PlanteEngine, WreathElement
@@ -21,6 +22,11 @@ from plorder.preorders import (
     axioms_report,
 )
 from plorder.realize import build_frame
+
+# Property tests draw the same examples on every run, and no example fails
+# for running long on a slow or throttled machine.
+settings.register_profile("plorder", derandomize=True, deadline=None)
+settings.load_profile("plorder")
 
 
 @pytest.fixture(scope="session")

@@ -102,3 +102,35 @@ class TestCommands:
         assert main(["realize", "--engine", "plante",
                      "--radius", "3", "--emit", "svg", "-o", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+
+class TestBadInput:
+    """Bad engine parameters and radii end in exit 2 with a reason."""
+
+    def _rejects(self, argv, capsys, reason):
+        assert main(argv) == 2
+        assert reason in capsys.readouterr().err
+
+    def test_prime_zero(self, capsys):
+        self._rejects(["sign", "--engine", "prime:0", "--word", "t(1)"], capsys,
+                      "needs a prime")
+
+    def test_prime_one(self, capsys):
+        self._rejects(["sign", "--engine", "prime:1", "--word", "t(1)"], capsys,
+                      "needs a prime")
+
+    def test_prime_composite(self, capsys):
+        self._rejects(["sign", "--engine", "prime:4", "--word", "t(1)"], capsys,
+                      "needs a prime")
+
+    def test_classify_radius_zero(self, capsys):
+        self._rejects(["classify", "--radius", "0", "--word", "t(1)"], capsys,
+                      "--radius must be at least 1")
+
+    def test_classify_radius_negative(self, capsys):
+        self._rejects(["classify", "--radius", "-1", "--word", "t(1)"], capsys,
+                      "--radius must be at least 1")
+
+    def test_realize_radius_zero(self, capsys):
+        self._rejects(["realize", "--radius", "0"], capsys,
+                      "--radius must be at least 1")

@@ -7,10 +7,12 @@ from plorder.exactnum import (
     Dyadic,
     LatticePreorder,
     NotInGroup,
+    PRIME_TEST_LIMIT,
     SlopeGroup,
     exponent_vector,
     factorize,
     format_rational,
+    is_prime,
     module_index,
     parse_rational,
     slope_decompose,
@@ -75,6 +77,23 @@ class TestFactorize:
         for p, e in f.items():
             prod *= p ** e
         assert prod == n
+
+
+class TestIsPrime:
+    def test_matches_trial_division(self):
+        assert [n for n in range(-2, 5000) if is_prime(n)] == \
+            [n for n in range(2, 5000) if factorize(n) == {n: 1}]
+
+    def test_strong_pseudoprimes(self):
+        # composites that pass Miller-Rabin for the bases 2..7, 2..23, 2..37
+        assert not is_prime(3215031751)
+        assert not is_prime(3825123056546413051)
+        assert not is_prime(318665857834031151167461)
+        assert is_prime(1000000000000000003)
+
+    def test_refuses_beyond_bound(self):
+        with pytest.raises(ValueError):
+            is_prime(PRIME_TEST_LIMIT)
 
 
 class TestSlopeGroup:
