@@ -2,14 +2,12 @@
 and finite-scale dynamical realizations."""
 
 from .exactnum import (
-    Dyadic,
     LatticePreorder,
     NotInGroup,
     SlopeGroup,
     format_rational,
     module_index,
     parse_rational,
-    slope_decompose,
 )
 from .plgroup import (
     PLMap,

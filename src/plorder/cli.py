@@ -23,13 +23,13 @@ from .plgroup import (
     bs_g_minus,
     bs_g_plus,
     f_big_generator,
-    standard_generators,
+    tau1,
     thompson_f_pair,
     translation,
     two_chain_witness,
     verify_relators,
 )
-from .plante import PlanteEngine, WreathElement, cset_family_cross_free
+from .plante import CSet, PlanteEngine, WreathElement, cset_family_cross_free
 from .preorders import (
     CombinedPrimeEngine,
     DiscreteInvariantSet,
@@ -169,16 +169,19 @@ _DEFAULT_FAMILY = {"jump": "bs2", "escaping": "thompsonF", "plante": "plante",
                    "prime": "bs2", "combined": "bs2"}
 
 
+def _family_name(args) -> str | None:
+    return args.family or _DEFAULT_FAMILY.get(args.engine.partition(":")[0])
+
+
 def _family_for(args) -> dict:
-    fam = args.family or _DEFAULT_FAMILY.get(args.engine.partition(":")[0])
+    fam = _family_name(args)
     if fam not in _FAMILIES:
         raise InputError(f"unknown family {fam!r}")
     return _FAMILIES[fam]()
 
 
 def _parse_element(args, text: str):
-    fam = args.family or _DEFAULT_FAMILY.get(args.engine.partition(":")[0])
-    return parse_wreath_word(text) if fam == "plante" else parse_word(text)
+    return parse_wreath_word(text) if _family_name(args) == "plante" else parse_word(text)
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +220,9 @@ def _emit_csv(frame, gens, out) -> None:
     writer = csv.writer(out)
     writer.writerow(["id", "word", "coordinate"] + [f"image[{n}]" for n in names])
     maps = {n: induced_map(frame, g) for n, g in gens.items()}
-    for i, coord in enumerate(frame.coordinates()):
-        row = [i, frame.word_of(i), str(coord)]
+    for i in range(len(frame)):
+        # the coordinate of a coset is its index in the frame order
+        row = [i, frame.word_of(i), i]
         row += [maps[n].get(i, "") for n in names]
         writer.writerow(row)
 
@@ -275,7 +279,6 @@ def cmd_check(args) -> int:
         "plante": PlanteEngine(),
     }
     # the restriction preorder lives on the trivial-right-germ subgroup
-    from .plgroup import tau1
     samples = {
         "restriction": [g for g in ball({"a": a, "b": b}, args.radius)
                         if tau1(g) == 0],
@@ -354,7 +357,6 @@ def cmd_plante(args) -> int:
     h0 = WreathElement.lamp_at(0)
     hs = [(t ** n) * h0 * (t ** -n) for n in range(args.radius + 1)]
     commute = all(x * y == y * x for x in hs for y in hs)
-    from .plante import CSet
     elements = ball({"t": t, "h0": h0}, args.radius,
                     identity=WreathElement.identity())
     csets = [CSet(sigma, cut) for sigma in list(elements)[:40]

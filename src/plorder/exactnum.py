@@ -1,9 +1,9 @@
-"""Exact number types and lattice-order plumbing.
+"""Exact rationals and lattice-order plumbing.
 
-Dyadic rationals num/2^exp in canonical form, exact rationals (stdlib
-Fraction with a fixed text format), finitely generated multiplicative
-slope groups with exponent decomposition, lexicographic preorders on
-integer lattices, and the module index |A / (lambda-1)A| for lambda = p/q.
+Exact rationals (stdlib Fraction with a fixed text format; 'n/2^e' text
+is accepted), finitely generated multiplicative slope groups with exponent
+decomposition, lexicographic preorders on integer lattices, and the module
+index |A / (lambda-1)A| for lambda = p/q.
 """
 
 from __future__ import annotations
@@ -29,156 +29,17 @@ class DegenerateSlope(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Dyadic rationals
-# ---------------------------------------------------------------------------
-
-class Dyadic:
-    """num / 2^exp with exp >= 0, canonical: exp == 0 or num odd."""
-
-    __slots__ = ("num", "exp")
-
-    def __init__(self, num: int, exp: int = 0):
-        num = int(num)
-        exp = int(exp)
-        if exp < 0:
-            num <<= -exp
-            exp = 0
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Dyadic is immutable")
-
-    @classmethod
-    def from_fraction(cls, x) -> "Dyadic":
-        x = Fraction(x)
-        d = x.denominator
-        exp = d.bit_length() - 1
-        if d != (1 << exp):
-            raise ValueError(f"{x} is not dyadic")
-        return cls(x.numerator, exp)
-
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.num, 1 << self.exp)
-
-    def is_integer(self) -> bool:
-        return self.exp == 0
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, Dyadic):
-            return other
-        if isinstance(other, int):
-            return Dyadic(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        e = max(self.exp, o.exp)
-        return Dyadic((self.num << (e - self.exp)) + (o.num << (e - o.exp)), e)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Dyadic(-self.num, self.exp)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return Dyadic(self.num * o.num, self.exp + o.exp)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        if isinstance(other, Dyadic):
-            return self.num == other.num and self.exp == other.exp
-        if isinstance(other, (int, Fraction)):
-            return self.as_fraction() == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.as_fraction())
-
-    def _cmp_key(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            if isinstance(other, Fraction):
-                return self.as_fraction(), other
-            return NotImplemented, None
-        e = max(self.exp, o.exp)
-        return self.num << (e - self.exp), o.num << (e - o.exp)
-
-    def __lt__(self, other):
-        a, b = self._cmp_key(other)
-        if a is NotImplemented:
-            return a
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._cmp_key(other)
-        if a is NotImplemented:
-            return a
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._cmp_key(other)
-        if a is NotImplemented:
-            return a
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._cmp_key(other)
-        if a is NotImplemented:
-            return a
-        return a >= b
-
-    # -- text form ----------------------------------------------------------
-
-    def __str__(self):
-        if self.exp == 0:
-            return str(self.num)
-        return f"{self.num}/2^{self.exp}"
-
-    def __repr__(self):
-        return f"Dyadic({self.num}, {self.exp})"
-
-    @classmethod
-    def parse(cls, text: str) -> "Dyadic":
-        text = text.strip()
-        if "/2^" in text:
-            num, exp = text.split("/2^")
-            return cls(int(num), int(exp))
-        if "/" in text:
-            return cls.from_fraction(Fraction(text))
-        return cls(int(text))
-
-
-# ---------------------------------------------------------------------------
 # Exact rationals: stdlib Fraction + fixed text form
 # ---------------------------------------------------------------------------
 
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', 'p', or dyadic 'num/2^exp' into an exact Fraction."""
+    """Parse 'p/q', 'p', or 'n/2^e' (e may be negative) into an exact Fraction."""
     text = text.strip()
     try:
         if "/2^" in text:
-            return Dyadic.parse(text).as_fraction()
+            num, exp = text.split("/2^")
+            n, e = int(num), int(exp)
+            return Fraction(n, 1 << e) if e >= 0 else Fraction(n << -e)
         return Fraction(text)
     except (ZeroDivisionError, ValueError) as e:
         raise ValueError(f"not a rational: {text!r}") from e
@@ -346,10 +207,6 @@ class SlopeGroup:
         return f"SlopeGroup({[str(g) for g in self.generators]})"
 
 
-def slope_decompose(r, group: SlopeGroup) -> tuple[int, ...]:
-    return group.decompose(r)
-
-
 class LatticePreorder:
     """Lexicographic stack of integer functionals on Z^k.
 
@@ -368,6 +225,11 @@ class LatticePreorder:
         self.rows = rows
         self.k = k
 
+    @classmethod
+    def lex(cls, k: int) -> "LatticePreorder":
+        """The lexicographic order on Z^k: identity rows, trivial residue."""
+        return cls([tuple(int(i == j) for j in range(k)) for i in range(k)], k)
+
     def sign_of(self, vec) -> int:
         vec = tuple(vec)
         if len(vec) != self.k:
@@ -380,17 +242,8 @@ class LatticePreorder:
                 return -1
         return 0
 
-    def opposite(self) -> "LatticePreorder":
-        return LatticePreorder([tuple(-c for c in row) for row in self.rows],
-                               self.k)
-
     def __repr__(self):
         return f"LatticePreorder({self.rows})"
-
-
-def lattice_sign(vec, preorder: LatticePreorder) -> int:
-    """-1 / 0 / +1 per the first-nonzero-row rule (0 = residue)."""
-    return preorder.sign_of(vec)
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,6 @@ class WreathElement:
             n >>= 1
         return out
 
-    def conjugate_by(self, g: "WreathElement") -> "WreathElement":
-        return g * self * g.inverse()
-
     def __eq__(self, other):
         if not isinstance(other, WreathElement):
             return NotImplemented
@@ -143,15 +140,10 @@ def commutator(a: WreathElement, b: WreathElement) -> WreathElement:
 # Plante sign
 # ---------------------------------------------------------------------------
 
-def _default_order(k: int) -> LatticePreorder:
-    return LatticePreorder([tuple(int(i == j) for j in range(k))
-                            for i in range(k)])
-
-
 def plante_sign(w: WreathElement, order: LatticePreorder | None = None) -> Sign:
     """Sign of the lamp value at the top of the support; Residue for pure
     shifts (zero configuration)."""
-    order = order or _default_order(w.k)
+    order = order or LatticePreorder.lex(w.k)
     if not w.lamp:
         return Sign.RESIDUE
     s = order.sign_of(w.lamp[max(w.lamp)])
@@ -163,7 +155,7 @@ def plante_sign(w: WreathElement, order: LatticePreorder | None = None) -> Sign:
 class PlanteEngine:
     def __init__(self, k: int = 1, order: LatticePreorder | None = None):
         self.k = k
-        self.order = order or _default_order(k)
+        self.order = order or LatticePreorder.lex(k)
 
     def sign(self, w: WreathElement) -> Sign:
         return plante_sign(w, self.order)
@@ -226,7 +218,13 @@ class CSet:
         return True
 
     def relation(self, other: "CSet") -> str:
-        """'equal' | 'subset' | 'superset' | 'disjoint' | 'crossing'."""
+        """'equal' | 'subset' | 'superset' | 'disjoint'.
+
+        Never 'crossing': two agreement sets are nested or disjoint.  The
+        patterns are compared above the higher cut; if they agree there,
+        the set with the lower cut (the stronger constraint) is inside the
+        other, and otherwise the sets are disjoint.
+        """
         lo, hi = (self, other) if self.cut >= other.cut else (other, self)
         # hi has the lower cut, hence the stronger constraint
         zero = (0,) * self.k
@@ -254,6 +252,11 @@ class CSet:
 
 
 def cset_family_cross_free(csets) -> bool:
+    """True iff no two C-sets cross, checked pairwise through CSet.relation.
+
+    Two agreement sets are always nested or disjoint (see CSet.relation),
+    so every family passes; the scan confirms it pair by pair.
+    """
     csets = list(csets)
     return not any(csets[i].crosses(csets[j])
                    for i in range(len(csets)) for j in range(i + 1, len(csets)))

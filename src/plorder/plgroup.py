@@ -13,7 +13,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .exactnum import Dyadic, format_rational, parse_rational
+from .exactnum import format_rational, parse_rational
 
 
 class ModelMismatch(ValueError):
@@ -32,12 +32,6 @@ class HypothesisFailed(ValueError):
 
 class NoWitness(ValueError):
     pass
-
-
-def _frac(x) -> Fraction:
-    if isinstance(x, Dyadic):
-        return x.as_fraction()
-    return Fraction(x)
 
 
 def int_log2(r: Fraction) -> int:
@@ -74,9 +68,9 @@ class PLMap:
     def __init__(self, model: str, breakpoints, slopes, offsets):
         if model not in ("unit", "line"):
             raise ValueError(f"unknown model {model!r}")
-        bps = [_frac(b) for b in breakpoints]
-        sl = [_frac(s) for s in slopes]
-        off = [_frac(o) for o in offsets]
+        bps = [Fraction(b) for b in breakpoints]
+        sl = [Fraction(s) for s in slopes]
+        off = [Fraction(o) for o in offsets]
         if not (len(sl) == len(off) == len(bps) + 1):
             raise ValueError("need one piece per interval")
         if any(s <= 0 for s in sl):
@@ -140,7 +134,7 @@ class PLMap:
         For the unit model, (0,0) and (1,1) are appended automatically; for
         the line model the first and last segments extend as end germs.
         """
-        pts = sorted((_frac(x), _frac(y)) for x, y in points)
+        pts = sorted((Fraction(x), Fraction(y)) for x, y in points)
         if model == "unit":
             if not pts or pts[0][0] != 0:
                 pts.insert(0, (Fraction(0), Fraction(0)))
@@ -171,7 +165,7 @@ class PLMap:
 
     def __call__(self, x) -> Fraction:
         if not isinstance(x, Fraction):
-            x = _frac(x)
+            x = Fraction(x)
         if self.model == "unit" and not (0 <= x <= 1):
             raise OutOfDomain(f"{x} outside [0,1]")
         i = self.piece_index(x)
@@ -179,7 +173,7 @@ class PLMap:
 
     def derivative(self, x, side: str = "right") -> Fraction:
         """One-sided slope D^+ or D^- at x."""
-        x = _frac(x)
+        x = Fraction(x)
         if side == "right":
             if self.model == "unit" and x == 1:
                 raise OutOfDomain("no right derivative at 1")
@@ -374,7 +368,7 @@ def tau1(g: PLMap) -> int:
 
 def jump_cocycle(f: PLMap, x, side: str = "right") -> Fraction:
     """j^+(f,x) = prod_{y >= x} D^-f(y)/D^+f(y); j^- over y <= x."""
-    x = _frac(x)
+    x = Fraction(x)
     out = Fraction(1)
     for i, b in enumerate(f.breakpoints):
         left, right = f.slopes[i], f.slopes[i + 1]
@@ -421,19 +415,19 @@ def translation(a) -> PLMap:
 
 def bs_g(a, lam) -> PLMap:
     """g(a, lam): x -> lam*x + (1-lam)*a, the affine map fixing a."""
-    a, lam = _frac(a), _frac(lam)
+    a, lam = Fraction(a), Fraction(lam)
     return PLMap.affine(lam, (1 - lam) * a)
 
 
 def bs_g_plus(a, lam) -> PLMap:
     """Identity on (-inf, a], g(a, lam) on [a, +inf)."""
-    a, lam = _frac(a), _frac(lam)
+    a, lam = Fraction(a), Fraction(lam)
     return PLMap("line", [a], [1, lam], [0, (1 - lam) * a])
 
 
 def bs_g_minus(a, lam) -> PLMap:
     """g(a, lam) on (-inf, a], identity on [a, +inf); equals g * g_plus^-1."""
-    a, lam = _frac(a), _frac(lam)
+    a, lam = Fraction(a), Fraction(lam)
     return PLMap("line", [a], [lam, 1], [(1 - lam) * a, 0])
 
 
@@ -480,19 +474,6 @@ def verify_relators(a: PLMap, b: PLMap) -> bool:
             and not commutator(a, b).is_identity())
 
 
-def _sup_support(parts: list) -> Fraction | None:
-    if not parts:
-        return None
-    hi = parts[-1][1]
-    return hi
-
-
-def _inf_support(parts: list) -> Fraction | None:
-    if not parts:
-        return None
-    return parts[0][0]
-
-
 def two_chain_witness(f: PLMap, g: PLMap, max_power: int = 10000) -> int:
     """Smallest N >= 1 with g^N(f(c)) > d, where d = sup supp(f), c = inf supp(g).
 
@@ -505,8 +486,8 @@ def two_chain_witness(f: PLMap, g: PLMap, max_power: int = 10000) -> int:
     sg = g.support()
     if not sf or not sg:
         raise HypothesisFailed("i", "one of the maps is the identity")
-    d = _sup_support(sf)
-    c = _inf_support(sg)
+    d = sf[-1][1]
+    c = sg[0][0]
     if c is None or d is None:
         raise HypothesisFailed("i", "unbounded support")
     if not c < d:
@@ -542,33 +523,31 @@ def two_chain_witness(f: PLMap, g: PLMap, max_power: int = 10000) -> int:
 # ---------------------------------------------------------------------------
 
 def _crosses(a, b, c, d) -> bool:
-    """Open intervals (a,b), (c,d) cross: overlap without containment."""
-    def le(x, y):  # x <= y with None as the appropriate infinity
-        if x is None or y is None:
-            return True
-        return x <= y
-    # disjoint?
+    """Open intervals (a,b), (c,d) cross: overlap without containment.
+
+    None is -inf as a left end and +inf as a right end.
+    """
     if (b is not None and c is not None and b <= c) or \
        (d is not None and a is not None and d <= a):
-        return False
-    # containment either way?
+        return False  # disjoint
+
     def contains(p, q, r, s):  # (p,q) contains (r,s)
-        lo_ok = p is None or (r is not None and p <= r)
-        hi_ok = q is None or (s is not None and s <= q)
-        return lo_ok and hi_ok
-    if contains(a, b, c, d) or contains(c, d, a, b):
-        return False
-    return True
+        return ((p is None or (r is not None and p <= r))
+                and (q is None or (s is not None and s <= q)))
+    return not (contains(a, b, c, d) or contains(c, d, a, b))
+
+
+def crossing_pair(intervals) -> tuple[int, int] | None:
+    """Indices (i, j), i < j, of the lexicographically first crossing pair
+    of open intervals, or None when all pairs are nested or disjoint."""
+    ivs = list(intervals)
+    return next(((i, j) for i in range(len(ivs)) for j in range(i + 1, len(ivs))
+                 if _crosses(*ivs[i], *ivs[j])), None)
 
 
 def cross_free(intervals) -> bool:
     """True iff all pairs are nested or disjoint."""
-    ivs = list(intervals)
-    for i in range(len(ivs)):
-        for j in range(i + 1, len(ivs)):
-            if _crosses(*ivs[i], *ivs[j]):
-                return False
-    return True
+    return crossing_pair(intervals) is None
 
 
 def linked_pair(f: PLMap, g: PLMap) -> bool:

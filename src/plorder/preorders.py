@@ -35,14 +35,6 @@ class SlopeNotInGroup(ValueError):
     pass
 
 
-class NonRationalSlope(ValueError):
-    pass
-
-
-class NonTotalOrder(ValueError):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Restriction preorder on F_+
 # ---------------------------------------------------------------------------
@@ -131,15 +123,11 @@ def xg(g: PLMap, K: DiscreteInvariantSet):
 
 
 def restriction_sign(g: PLMap, K: DiscreteInvariantSet) -> Sign:
-    """Positive iff g moves its outermost moved K-point up (with the
-    left-derivative tie-break)."""
+    """Positive iff g moves its outermost moved K-point up."""
     x = xg(g, K)
     if x is None:
         return Sign.RESIDUE
-    gx = g(x)
-    if gx > x or (gx == x and g.derivative(x, "left") > 1):
-        return Sign.POSITIVE
-    return Sign.NEGATIVE
+    return Sign.POSITIVE if g(x) > x else Sign.NEGATIVE
 
 
 class RestrictionEngine:
@@ -181,29 +169,22 @@ def jump_sign(g: PLMap, side: str = "right",
               group: SlopeGroup | None = None,
               order: LatticePreorder | None = None) -> Sign:
     """Sign of j^side(g, .) at its outermost non-residue point."""
-    group = group or SlopeGroup([2])
-    if order is None:
-        order = LatticePreorder([tuple(int(i == j) for j in range(group.rank))
-                                 for i in range(group.rank)])
-    hit = _jump_scan(g, side, group, order)
-    if hit is None:
-        return Sign.RESIDUE
-    return Sign(hit[2])
+    return JumpEngine(side, group, order).sign(g)
 
 
 class JumpEngine:
+    """Jump preorder; by default on <2> with the lexicographic order."""
+
     def __init__(self, side: str = "right",
                  group: SlopeGroup | None = None,
                  order: LatticePreorder | None = None):
         self.side = side
         self.group = group or SlopeGroup([2])
-        if order is None:
-            order = LatticePreorder([tuple(int(i == j) for j in range(self.group.rank))
-                                     for i in range(self.group.rank)])
-        self.order = order
+        self.order = order or LatticePreorder.lex(self.group.rank)
 
     def sign(self, g: PLMap) -> Sign:
-        return jump_sign(g, self.side, self.group, self.order)
+        hit = _jump_scan(g, self.side, self.group, self.order)
+        return Sign.RESIDUE if hit is None else Sign(hit[2])
 
     def critical_point(self, g: PLMap):
         """x_{g,Lambda_0}, or None for residue elements."""

@@ -10,11 +10,8 @@ and classify_predicted derives the expected type from exact germ data.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
 
-from .exactnum import Dyadic
-from .plgroup import PLMap, ball
-from .preorders import Sign
+from .plgroup import PLMap, ball, crossing_pair
 
 
 class DynType(enum.Enum):
@@ -87,10 +84,6 @@ class OrbitFrame:
     def index_of(self, x):
         i, found = self.locate(x)
         return i if found else None
-
-    def coordinates(self) -> list[Dyadic]:
-        """The standard integer embedding of the frame order."""
-        return [Dyadic(i) for i in range(len(self.points))]
 
     def word_of(self, i: int) -> str:
         return self.words[self.points[i]]
@@ -282,21 +275,15 @@ def classify_predicted(g: PLMap, horograding: str = "increasing") -> DynType:
 # Cross-free covers and homothety evidence
 # ---------------------------------------------------------------------------
 
-def _crossing(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    (a1, a2), (b1, b2) = sorted(a), sorted(b)
-    if a2 < b1 or b2 < a1:
-        return False
-    if (b1 <= a1 and a2 <= b2) or (a1 <= b1 and b2 <= a2):
-        return False
-    return True
-
-
 def cf_cover_check(frame: OrbitFrame, intervals) -> dict:
-    """Pairwise non-crossing verdict and span coverage for index intervals."""
+    """Pairwise non-crossing verdict and span coverage for closed index
+    intervals [a, b].
+
+    [a, b] and [c, d] are disjoint iff b + 1 <= c or d + 1 <= a, and nested
+    iff (a, b + 1) and (c, d + 1) are, so the open-interval check decides.
+    """
     intervals = [tuple(sorted(map(int, iv))) for iv in intervals]
-    crossing = next(((i, j) for i in range(len(intervals))
-                     for j in range(i + 1, len(intervals))
-                     if _crossing(intervals[i], intervals[j])), None)
+    crossing = crossing_pair((a, b + 1) for a, b in intervals)
     covered: set[int] = set()
     for a, b in intervals:
         covered.update(range(a, b + 1))

@@ -230,10 +230,6 @@ class TailSet:
     def base(cls, pair: WordPair | None = None) -> "TailSet":
         return cls(pair or WordPair())
 
-    @property
-    def window_left(self) -> int:
-        return self.lo
-
     def __eq__(self, other):
         if not isinstance(other, TailSet):
             return NotImplemented

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import pytest
@@ -12,6 +13,7 @@ class TestParsers:
         g = parse_word("t(1)*g+(0,2)^-2")
         assert g == translation(1) * bs_g_plus(0, 2) ** -2
         assert parse_word("f0").model == "unit"
+        assert parse_word("t(3/2^2)*g+(1/2^-1,2)") == parse_word("t(3/4)*g+(2,2)")
 
     def test_parse_word_rejects_garbage(self):
         from plorder.cli import InputError
@@ -55,6 +57,10 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "Residue"
         assert main(["sign", "--engine", "plante", "--word", "t*h0*t^-1"]) == 0
         assert capsys.readouterr().out.strip() == "Positive"
+        assert main(["sign", "--word", "t(3/4)"]) == 0
+        expected = capsys.readouterr().out
+        assert main(["sign", "--word", "t(3/2^2)"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_relators(self, capsys):
         assert main(["relators"]) == 0
@@ -96,6 +102,9 @@ class TestCommands:
         header = lines[0].split(",")
         assert header[:3] == ["id", "word", "coordinate"]
         assert len(lines) > 20
+        # the coordinate of a coset is its index in the frame order
+        rows = list(csv.reader(lines[1:]))
+        assert [r[2] for r in rows] == [str(i) for i in range(len(rows))]
 
     def test_realize_svg(self, tmp_path):
         out = tmp_path / "frame.svg"

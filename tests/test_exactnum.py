@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plorder.exactnum import (
-    Dyadic,
     LatticePreorder,
     NotInGroup,
     PRIME_TEST_LIMIT,
@@ -15,35 +14,7 @@ from plorder.exactnum import (
     is_prime,
     module_index,
     parse_rational,
-    slope_decompose,
 )
-
-
-class TestDyadic:
-    def test_canonical_form(self):
-        assert Dyadic(4, 2) == Dyadic(1, 0)
-        d = Dyadic(6, 3)
-        assert (d.num, d.exp) == (3, 2)
-
-    def test_arithmetic(self):
-        assert Dyadic(1, 1) + Dyadic(1, 2) == Dyadic(3, 2)
-        assert Dyadic(3, 2) - Dyadic(1, 2) == Dyadic(1, 1)
-        assert Dyadic(3, 1) * Dyadic(1, 2) == Dyadic(3, 3)
-
-    def test_ordering_matches_fraction(self):
-        vals = [Dyadic(n, e) for n in range(-4, 5) for e in range(4)]
-        for x in vals:
-            for y in vals:
-                assert (x < y) == (Fraction(x.num, 2 ** x.exp)
-                                   < Fraction(y.num, 2 ** y.exp))
-
-    @given(st.integers(-1000, 1000), st.integers(0, 12),
-           st.integers(-1000, 1000), st.integers(0, 12))
-    def test_add_commutes_with_fraction(self, n1, e1, n2, e2):
-        a, b = Dyadic(n1, e1), Dyadic(n2, e2)
-        s = a + b
-        assert Fraction(s.num, 2 ** s.exp) == \
-            Fraction(n1, 2 ** e1) + Fraction(n2, 2 ** e2)
 
 
 class TestRationalIO:
@@ -52,16 +23,21 @@ class TestRationalIO:
         ("-3", Fraction(-3)),
         ("7/4", Fraction(7, 4)),
         ("0", Fraction(0)),
+        ("3/2^2", Fraction(3, 4)),
+        ("6/2^3", Fraction(3, 4)),
+        ("1/2^-1", Fraction(2)),
+        ("-5/2^0", Fraction(-5)),
+        # one shift, not a loop over the exponent
+        ("0/2^10000000", Fraction(0)),
     ])
     def test_roundtrip(self, text, value):
         assert parse_rational(text) == value
         assert parse_rational(format_rational(value)) == value
 
     def test_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_rational("1/0")
-        with pytest.raises(ValueError):
-            parse_rational("x")
+        for text in ("1/0", "x", "1/2^x", "1/2^2/2^3"):
+            with pytest.raises(ValueError):
+                parse_rational(text)
 
 
 class TestFactorize:
@@ -129,10 +105,6 @@ class TestSlopeGroup:
         with pytest.raises(NotInGroup):
             exponent_vector(Fraction(5), [2, 3])
 
-    def test_slope_decompose_alias(self):
-        g = SlopeGroup([2])
-        assert slope_decompose(Fraction(4), g) == (2,)
-
 
 class TestLatticePreorder:
     def test_lex_sign(self):
@@ -140,6 +112,8 @@ class TestLatticePreorder:
         assert p.sign_of((2, -5)) == 1
         assert p.sign_of((0, -5)) == -1
         assert p.sign_of((0, 0)) == 0
+        assert LatticePreorder.lex(2).rows == p.rows
+        assert LatticePreorder.lex(1).rows == [(1,)]
 
     def test_opposite(self):
         p = LatticePreorder([(-1,)])

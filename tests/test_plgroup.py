@@ -210,6 +210,17 @@ class TestIntervalCombinatorics:
         assert not cross_free([(0, 2), (1, 3)])
         assert cross_free([(None, 0), (1, None)])
         assert not cross_free([(None, 2), (1, 3)])
+        # open intervals sharing an endpoint are disjoint
+        assert cross_free([(0, 3), (3, 5)])
+        # equal intervals are nested
+        assert cross_free([(1, 4), (1, 4)])
+        assert cross_free([(None, None), (None, None)])
+        # None is -inf as a left end and +inf as a right end
+        assert cross_free([(None, None), (1, 2)])
+        assert cross_free([(None, 2), (None, 5)])
+        assert cross_free([(None, 1), (1, None)])
+        assert not cross_free([(None, 2), (1, None)])
+        assert not cross_free([(0, None), (None, 1)])
 
     def test_linked_pair(self):
         assert linked_pair(F_BUMP, G_BUMP)

@@ -66,9 +66,6 @@ class TestOrbitFrame:
 
     def test_coordinates_and_words(self, jump_frames):
         frame = jump_frames[3]
-        coords = frame.coordinates()
-        assert len(coords) == len(frame)
-        assert all(coords[i] < coords[i + 1] for i in range(len(coords) - 1))
         assert "e" in {frame.word_of(i) for i in range(len(frame))}
 
     def test_plante_frame_sorted(self, plante_frames):
@@ -197,6 +194,19 @@ class TestCrossFreeCovers:
         assert r["crossFree"] and r["covering"]
         r = cf_cover_check(frame, [(0, 2), (5, 6)])
         assert r["crossFree"] and not r["covering"]
+        # closed index intervals sharing an index cross
+        r = cf_cover_check(frame, [(0, 3), (3, 5)])
+        assert not r["crossFree"] and r["witness"] == (0, 1)
+        # adjacent closed intervals are disjoint
+        assert cf_cover_check(frame, [(0, 2), (3, 5)])["crossFree"]
+        # the witness is the first crossing pair in lexicographic order
+        r = cf_cover_check(frame, [(0, 1), (2, 5), (4, 8)])
+        assert not r["crossFree"] and r["witness"] == (1, 2)
+        # equal intervals, and single indices inside an interval, are nested
+        assert cf_cover_check(frame, [(2, 4), (2, 4)])["crossFree"]
+        assert cf_cover_check(frame, [(2, 4), (4, 4), (2, 2)])["crossFree"]
+        # endpoints may come in either order
+        assert cf_cover_check(frame, [(4, 2), (3, 3)])["crossFree"]
 
     def test_f_action_has_crossed_intervals(self, escaping_frames, f_pair):
         # the orbit of a frame interval under the standard action produces a
