@@ -28,7 +28,6 @@ from .plgroup import (
     verify_relators,
 )
 from .preorders import (
-    CombinedPrimeEngine,
     DiscreteInvariantSet,
     EscapingContext,
     EscapingEngine,
@@ -37,7 +36,6 @@ from .preorders import (
     RestrictionEngine,
     Sign,
     axioms_report,
-    escaping_compare,
     jump_sign,
     prime_jump_sign,
     restriction_sign,

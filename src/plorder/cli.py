@@ -31,7 +31,6 @@ from .plgroup import (
 )
 from .plante import CSet, PlanteEngine, WreathElement, cset_family_cross_free
 from .preorders import (
-    CombinedPrimeEngine,
     DiscreteInvariantSet,
     EscapingContext,
     EscapingEngine,
@@ -145,8 +144,6 @@ def parse_engine(desc: str):
         if len(opts) != 1:
             raise InputError("prime:q needs one prime")
         return PrimeJumpEngine(int(opts[0]))
-    if name == "combined":
-        return CombinedPrimeEngine()
     if name == "escaping":
         s0 = parse_rational(opts[0]) if opts else Fraction(1, 2)
         return EscapingEngine(EscapingContext(s0=s0))
@@ -166,7 +163,7 @@ _FAMILIES = {
 
 _DEFAULT_FAMILY = {"jump": "bs2", "escaping": "thompsonF", "plante": "plante",
                    "restriction": "thompsonF", "ok": "thompsonF",
-                   "prime": "bs2", "combined": "bs2"}
+                   "prime": "bs2"}
 
 
 def _family_name(args) -> str | None:
@@ -387,8 +384,8 @@ def cmd_okorder(args) -> int:
     g = _parse_line_word(args.word)
     if args.versus:
         h = _parse_line_word(args.versus)
-        s = engine.sign(h.inverse() * g).value
-        print({1: "Greater", 0: "Equal", -1: "Less"}[s])
+        kg, kh = engine.key(g), engine.key(h)
+        print("Greater" if kg > kh else "Less" if kg < kh else "Equal")
     else:
         print(engine.sign(g).name.capitalize())
     return 0

@@ -230,16 +230,17 @@ class LatticePreorder:
         """The lexicographic order on Z^k: identity rows, trivial residue."""
         return cls([tuple(int(i == j) for j in range(k)) for i in range(k)], k)
 
-    def sign_of(self, vec) -> int:
+    def values(self, vec) -> tuple[int, ...]:
+        """Row values of vec; u precedes v iff values(u) < values(v) as tuples."""
         vec = tuple(vec)
         if len(vec) != self.k:
             raise DimensionMismatch(f"expected dimension {self.k}")
-        for row in self.rows:
-            s = sum(r * v for r, v in zip(row, vec))
-            if s > 0:
-                return 1
-            if s < 0:
-                return -1
+        return tuple(sum(r * v for r, v in zip(row, vec)) for row in self.rows)
+
+    def sign_of(self, vec) -> int:
+        for s in self.values(vec):
+            if s:
+                return 1 if s > 0 else -1
         return 0
 
     def __repr__(self):

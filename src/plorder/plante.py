@@ -11,22 +11,16 @@ kernel on configurations.
 
 from __future__ import annotations
 
+from functools import total_ordering
+
 from .exactnum import LatticePreorder
 from .preorders import Sign
 
 
+@total_ordering
 class _MinusInfinity:
     def __lt__(self, other):
         return not isinstance(other, _MinusInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _MinusInfinity)
 
     def __eq__(self, other):
         return isinstance(other, _MinusInfinity)
@@ -157,21 +151,27 @@ class PlanteEngine:
         self.k = k
         self.order = order or LatticePreorder.lex(k)
 
+    def key(self, w: WreathElement) -> tuple:
+        """The lamp configuration read from the top: one (s, s*x, values)
+        entry per lamp x, where s is the lamp's sign, then (0,).  Tuple order
+        is the order of the values at the top disagreement, i.e. the sign
+        of v^-1 u; the shift is ignored.  Needs a total order."""
+        zero = (0,) * len(self.order.rows)
+        out = []
+        for x in sorted(w.lamp, reverse=True):
+            vals = self.order.values(w.lamp[x])
+            if vals == zero:
+                raise ValueError("order must be total on nonzero lamp values")
+            s = 1 if vals > zero else -1
+            out.append((s, s * x, vals))
+        out.append((0,))
+        return tuple(out)
+
     def sign(self, w: WreathElement) -> Sign:
         return plante_sign(w, self.order)
 
     def __repr__(self):
         return f"PlanteEngine(k={self.k})"
-
-
-def config_compare(a: WreathElement, b: WreathElement,
-                   order: LatticePreorder | None = None) -> int:
-    """Compare lamp configurations by the value at the top disagreement."""
-    zero = (0,) * a.k
-    diff = WreathElement(
-        {x: _vadd(a.lamp.get(x, zero), tuple(-c for c in b.lamp.get(x, zero)))
-         for x in set(a.lamp) | set(b.lamp)}, 0, a.k)
-    return plante_sign(diff, order).value
 
 
 # ---------------------------------------------------------------------------

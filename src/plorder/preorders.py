@@ -2,10 +2,12 @@
 
 Every engine exposes sign(g) -> Sign with the cone contract: the Positive
 set is a semigroup, sign(g^-1) = -sign(g), the Residue set is a subgroup,
-and Residue * Positive * Residue stays Positive.  Four constructions are
-provided: restriction to a discrete invariant set, jump cocycles against a
-lattice preorder, prime jumps for rational-slope maps, and escaping orbit
-sequences for cyclic-germ groups.
+and Residue * Positive * Residue stays Positive.  Every engine also gives
+each element g an orbit point key(g) whose order is the preorder:
+key(u) < key(v) iff sign(v^-1 u) is Negative, and equal iff it is Residue.
+Four constructions are provided: restriction to a discrete invariant set,
+jump cocycles against a lattice preorder, prime jumps for rational-slope
+maps, and escaping orbit sequences for cyclic-germ groups.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import enum
 import random
 from fractions import Fraction
+from functools import cmp_to_key
 
-from .exactnum import LatticePreorder, NotInGroup, SlopeGroup, factorize, is_prime
+from .exactnum import LatticePreorder, NotInGroup, SlopeGroup, is_prime
 from .plgroup import PLMap, f_big_generator, tau1
 
 
@@ -101,25 +104,34 @@ class DiscreteInvariantSet:
                 return False
 
 
+def _top_disagreement(u: PLMap, v: PLMap, K: DiscreteInvariantSet):
+    """Highest x in K with u(x) != v(x), or None when u and v agree on K.
+
+    Needs tau1(u) = tau1(v): the two maps then share their last piece and
+    agree above their highest breakpoint.  Below their lowest breakpoint
+    both are linear through 0, so the first K-point there decides.
+    """
+    t = tau1(u) - tau1(v)
+    if t:
+        raise NotInFPlus(f"tau1 = {t}")
+    if u == v:
+        return None
+    bu, bv = u.breakpoints, v.breakpoints
+    lo = min(bu[:1] + bv[:1])
+    for x in K.points_desc(max(bu[-1:] + bv[-1:])):
+        if u(x) != v(x):
+            return x
+        if x <= lo:
+            return None
+
+
+_UNIT = PLMap.identity("unit")
+
+
 def xg(g: PLMap, K: DiscreteInvariantSet):
     """sup{x in K : g(x) != x}, or None when g fixes K pointwise.
-
-    Requires tau1(g) = 0 (trivial right germ); scans K downward from the
-    top of supp(g) and stops below its bottom.
-    """
-    if tau1(g) != 0:
-        raise NotInFPlus(f"tau1 = {tau1(g)}")
-    if g.is_identity():
-        return None
-    supp = g.support()
-    lo = supp[0][0]
-    hi = supp[-1][1]
-    for x in K.points_desc(hi):
-        if x <= lo:
-            break
-        if g(x) != x:
-            return x
-    return None
+    Requires tau1(g) = 0 (trivial right germ)."""
+    return _top_disagreement(g, _UNIT, K)
 
 
 def restriction_sign(g: PLMap, K: DiscreteInvariantSet) -> Sign:
@@ -131,8 +143,18 @@ def restriction_sign(g: PLMap, K: DiscreteInvariantSet) -> Sign:
 
 
 class RestrictionEngine:
+    """The key of u orders it by u(x) at the top K-point where two maps
+    differ (maps with the same right germ only)."""
+
     def __init__(self, K: DiscreteInvariantSet):
         self.K = K
+        self.key = cmp_to_key(self._compare)
+
+    def _compare(self, u: PLMap, v: PLMap) -> int:
+        x = _top_disagreement(u, v, self.K)
+        if x is None:
+            return 0
+        return 1 if u(x) > v(x) else -1
 
     def sign(self, g: PLMap) -> Sign:
         return restriction_sign(g, self.K)
@@ -142,27 +164,40 @@ class RestrictionEngine:
 
 
 # ---------------------------------------------------------------------------
-# Jump preorders for Bieri-Strebel groups
+# Jump preorders: keys are slope profiles read from the outer end
 # ---------------------------------------------------------------------------
 
-def _jump_scan(g: PLMap, side: str, group: SlopeGroup, order: LatticePreorder):
-    """(x, cumulative jump value, its sign) at the outermost non-residue
-    breakpoint, or None when every cumulative jump lies in the residue."""
-    items = list(enumerate(g.breakpoints))
+def _profile_key(g: PLMap, side: str, value) -> tuple:
+    """Step profile y -> value(slope of g at g^-1(y)), read from the outer end.
+
+    The key is (value(outer slope), (s, s*y, v), ..., (0,)): one entry per
+    point y = g(b) where the value changes, to v, in direction s = +-1
+    (-s*y on the left side, where values are read to the right of b).
+    By the chain rule the slope of v^-1 u at u^-1(y) is the slope of u at
+    u^-1(y) over that of v at v^-1(y), so for a value additive in the slope
+    the tuple order of two keys is the sign of v^-1 u at its outermost jump.
+    """
+    bps, slopes, offsets = g.breakpoints, g.slopes, g.offsets
     if side == "right":
-        items.reverse()
-    acc = Fraction(1)
-    for i, b in items:
-        left, right = g.slopes[i], g.slopes[i + 1]
-        acc *= Fraction(left) / right if side == "right" else Fraction(right) / left
-        try:
-            vec = group.decompose(acc)
-        except NotInGroup as e:
-            raise SlopeNotInGroup(str(e)) from None
-        s = order.sign_of(vec)
-        if s != 0:
-            return b, acc, s
-    return None
+        order, d, sy = range(len(bps) - 1, -1, -1), 0, 1
+    else:
+        order, d, sy = range(len(bps)), 1, -1
+    prev = value(slopes[-1] if side == "right" else slopes[0])
+    out = [prev]
+    for i in order:
+        v = value(slopes[i + d])
+        if v != prev:
+            s = 1 if v > prev else -1
+            out.append((s, s * sy * (slopes[i] * bps[i] + offsets[i]), v))
+            prev = v
+    out.append((0,))
+    return tuple(out)
+
+
+def _key_sign(key: tuple) -> Sign:
+    """Sign of g from its profile key: the identity's key is (0-value, (0,))."""
+    ident = ((0,) * len(key[0]), (0,))
+    return Sign((key > ident) - (key < ident))
 
 
 def jump_sign(g: PLMap, side: str = "right",
@@ -173,7 +208,8 @@ def jump_sign(g: PLMap, side: str = "right",
 
 
 class JumpEngine:
-    """Jump preorder; by default on <2> with the lexicographic order."""
+    """Jump preorder; by default on <2> with the lexicographic order.  The
+    key values a slope by the row values of slope / outer slope."""
 
     def __init__(self, side: str = "right",
                  group: SlopeGroup | None = None,
@@ -182,14 +218,26 @@ class JumpEngine:
         self.group = group or SlopeGroup([2])
         self.order = order or LatticePreorder.lex(self.group.rank)
 
+    def _value(self, ratio) -> tuple[int, ...]:
+        try:
+            return self.order.values(self.group.decompose(ratio))
+        except NotInGroup as e:
+            raise SlopeNotInGroup(str(e)) from None
+
+    def key(self, g: PLMap) -> tuple:
+        outer = g.slopes[-1] if self.side == "right" else g.slopes[0]
+        return _profile_key(g, self.side, lambda slope: self._value(slope / outer))
+
     def sign(self, g: PLMap) -> Sign:
-        hit = _jump_scan(g, self.side, self.group, self.order)
-        return Sign.RESIDUE if hit is None else Sign(hit[2])
+        return _key_sign(self.key(g))
 
     def critical_point(self, g: PLMap):
         """x_{g,Lambda_0}, or None for residue elements."""
-        hit = _jump_scan(g, self.side, self.group, self.order)
-        return None if hit is None else hit[0]
+        key = self.key(g)
+        if len(key) == 2:
+            return None
+        s, sy, _ = key[1]
+        return g.inverse()(s * sy if self.side == "right" else -s * sy)
 
     def __repr__(self):
         return f"JumpEngine(side={self.side!r}, group={self.group!r})"
@@ -202,47 +250,23 @@ class JumpEngine:
 def _nu(q: int, r: Fraction) -> int:
     """q-adic valuation of a positive rational."""
     v = 0
-    n = r.numerator
-    while n % q == 0:
-        n //= q
-        v += 1
-    n = r.denominator
-    while n % q == 0:
-        n //= q
-        v -= 1
+    for n, step in ((r.numerator, 1), (r.denominator, -1)):
+        while n % q == 0:
+            n //= q
+            v += step
     return v
 
 
+def _prime_key(g: PLMap, q: int) -> tuple:
+    """Profile of nu_q of the left derivative, read from the top; the left
+    derivative is constant on each piece's half-open interval."""
+    return _profile_key(g, "right", lambda slope: (_nu(q, slope),))
+
+
 def prime_jump_sign(g: PLMap, q: int) -> Sign:
-    """Sign of D_q^- g at the largest x where it differs from 1.
-
-    D_q^- g(x) = q^{nu_q(D^- g(x))}; the left derivative is constant on each
-    piece's half-open interval, so the scan runs over pieces from the top.
-    """
-    for slope in reversed(g.slopes):
-        v = _nu(q, Fraction(slope))
-        if v > 0:
-            return Sign.POSITIVE
-        if v < 0:
-            return Sign.NEGATIVE
-    return Sign.RESIDUE
-
-
-def slope_primes(g: PLMap) -> set[int]:
-    out: set[int] = set()
-    for s in g.slopes:
-        s = Fraction(s)
-        out.update(factorize(s.numerator))
-        out.update(factorize(s.denominator))
-    return out
-
-
-def combined_prime_sign(g: PLMap) -> Sign:
-    """Sign under the preorder of the largest prime occurring in g's slopes."""
-    primes = slope_primes(g)
-    if not primes:
-        return Sign.RESIDUE
-    return prime_jump_sign(g, max(primes))
+    """Sign of D_q^- g at the largest x where it differs from 1, where
+    D_q^- g(x) = q^{nu_q(D^- g(x))}."""
+    return _key_sign(_prime_key(g, q))
 
 
 class PrimeJumpEngine:
@@ -252,6 +276,9 @@ class PrimeJumpEngine:
             raise ValueError(f"prime:q needs a prime q >= 2, got {q}")
         self.q = q
 
+    def key(self, g: PLMap) -> tuple:
+        return _prime_key(g, self.q)
+
     def sign(self, g: PLMap) -> Sign:
         return prime_jump_sign(g, self.q)
 
@@ -259,20 +286,12 @@ class PrimeJumpEngine:
         return f"PrimeJumpEngine(q={self.q})"
 
 
-class CombinedPrimeEngine:
-    def sign(self, g: PLMap) -> Sign:
-        return combined_prime_sign(g)
-
-    def __repr__(self):
-        return "CombinedPrimeEngine()"
-
-
 # ---------------------------------------------------------------------------
 # Escaping-sequence order for F
 # ---------------------------------------------------------------------------
 
 class EscapingContext:
-    """The bi-infinite sequence s_n = f0^n(s0) and the germ cocycle tau1."""
+    """The bi-infinite sequence s_n = f0^n(s0)."""
 
     def __init__(self, f0: PLMap | None = None, s0=Fraction(1, 2)):
         f0 = f0 or f_big_generator()
@@ -280,58 +299,68 @@ class EscapingContext:
             raise ValueError("base element must have tau1 = 1")
         self.f0 = f0
         self.s0 = Fraction(s0)
+        # rejects an f0 with interior fixed points and s0 outside (0,1); the
+        # escaping scan bounds rely on both
         self.orbit = DiscreteInvariantSet(f0, (self.s0,))
+        self._down = f0.inverse()
         self._cache = {0: self.s0}
 
     def s(self, n: int) -> Fraction:
-        if n not in self._cache:
-            if n > 0:
-                self._cache[n] = self.f0(self.s(n - 1))
-            else:
-                self._cache[n] = self.f0.inverse()(self.s(n + 1))
-        return self._cache[n]
-
-    def tau(self, g: PLMap) -> int:
-        return tau1(g)
+        cache, m = self._cache, n
+        step, f = (1, self.f0) if n > 0 else (-1, self._down)
+        while m not in cache:
+            m -= step
+        while m != n:
+            cache[m + step] = f(cache[m])
+            m += step
+        return cache[n]
 
 
 class EscapingEngine:
-    """Sign of g via the action on the escaping sequence s.
+    """Order of the sequences g.s, (g.s)_n = g(s_{n - tau1(g)}), compared at
+    their top disagreement index.
 
-    (g.s)_n = g(s_{n - tau(g)}); with v = f0^{-tau(g)} g (which has trivial
-    right germ), the top disagreement index of g.s against s is the
-    outermost orbit point moved by v, and the entry comparison there has
-    the sign of v(x) - x.
+    Above every breakpoint of u, v and f0 a map with tau1 = t agrees with
+    f0^t, so both entries equal s_n there; below every breakpoint both maps
+    and f0 are linear, so the entries keep a constant ratio and the first
+    index there decides.  The order is invariant under the action, so
+    key(u) < key(v) iff v^-1 u is Negative.
     """
 
     def __init__(self, ctx: EscapingContext | None = None):
         self.ctx = ctx or EscapingContext()
-        self._germ_inverse = {}  # t -> f0^-t, the factor that kills g's right germ
+        self._key = cmp_to_key(self._compare)
+        self._identity = self._bounds(_UNIT)
+
+    def _bounds(self, g: PLMap):
+        """(g, tau1(g), hi, lo): the entry of g is s_n for every n >= hi, and
+        for n <= lo its orbit point lies below every breakpoint."""
+        s, t = self.ctx.s, tau1(g)
+        bps = g.breakpoints + self.ctx.f0.breakpoints
+        hi = lo = 0
+        while s(hi) < max(bps):
+            hi += 1
+        while s(lo) > min(bps):
+            lo -= 1
+        return g, t, hi + max(t, 0), lo + t
+
+    def _compare(self, a, b) -> int:
+        (u, tu, hu, lu), (v, tv, hv, lv) = a, b
+        s = self.ctx.s
+        for n in range(max(hu, hv) - 1, min(lu, lv) - 1, -1):
+            x, y = u(s(n - tu)), v(s(n - tv))
+            if x != y:
+                return 1 if x > y else -1
+        return 0
+
+    def key(self, g: PLMap):
+        return self._key(self._bounds(g))
 
     def sign(self, g: PLMap) -> Sign:
-        t = self.ctx.tau(g)
-        h = self._germ_inverse.get(t)
-        if h is None:
-            h = self._germ_inverse[t] = self.ctx.f0 ** (-t)
-        v = h * g
-        x = xg(v, self.ctx.orbit)
-        if x is None:
-            return Sign.RESIDUE
-        return Sign.POSITIVE if v(x) > x else Sign.NEGATIVE
+        return Sign(self._compare(self._bounds(g), self._identity))
 
     def __repr__(self):
         return f"EscapingEngine(s0={self.ctx.s0})"
-
-
-def escaping_compare(g: PLMap, h: PLMap, ctx: EscapingContext | None = None) -> str:
-    """Compare the sequences g.s and h.s: 'Less', 'Equal' or 'Greater'.
-
-    The sequence order is invariant under the action, so the comparison
-    reduces to the sign of h^-1 g.
-    """
-    engine = EscapingEngine(ctx)
-    s = engine.sign(h.inverse() * g)
-    return {Sign.NEGATIVE: "Less", Sign.RESIDUE: "Equal", Sign.POSITIVE: "Greater"}[s]
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """Finite-scale dynamical realizations of preorder engines.
 
-A frame is the radius-L ball of the group, deduplicated into residue
-cosets and sorted by the engine's left-invariant order.  Elements act on
+A frame is the radius-L ball of the group as sorted, deduplicated engine
+keys (one key per residue coset, i.e. per orbit point).  Elements act on
 the frame by left multiplication; classify_empirical reads off the
 dynamical type of an element from the trajectories of the frame extremes,
 and classify_predicted derives the expected type from exact germ data.
@@ -10,6 +10,9 @@ and classify_predicted derives the expected type from exact germ data.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
+from itertools import groupby
+from operator import itemgetter
 
 from .plgroup import PLMap, ball, crossing_pair
 
@@ -47,39 +50,32 @@ def consistent(predicted: DynType, empirical: DynType) -> bool:
 # Orbit frames
 # ---------------------------------------------------------------------------
 
-class OrbitFrame:
-    """Sorted residue-coset representatives of a ball, with their words."""
+def _cmp(a, b) -> int:
+    return (a > b) - (a < b)
 
-    def __init__(self, engine, points, words: dict):
+
+class OrbitFrame:
+    """Sorted residue-coset representatives of a ball, with their words and
+    their engine keys."""
+
+    def __init__(self, engine, points, words: dict, keys):
         self.engine = engine
         self.points = list(points)
         self.words = dict(words)
-        self._inverses = {}
+        self.keys = list(keys)
 
     def __len__(self):
         return len(self.points)
 
     def cmp_elements(self, u, v) -> int:
         """>0 iff the coset of u lies above the coset of v."""
-        inv = self._inverses.get(v)
-        if inv is None:
-            inv = v.inverse()
-            self._inverses[v] = inv
-        return self.engine.sign(inv * u).value
+        return _cmp(self.engine.key(u), self.engine.key(v))
 
     def locate(self, x) -> tuple[int, bool]:
-        """(insertion index, found): binary search by engine comparison."""
-        lo, hi = 0, len(self.points)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            c = self.cmp_elements(x, self.points[mid])
-            if c == 0:
-                return mid, True
-            if c < 0:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo, False
+        """(insertion index, found): binary search on the keys."""
+        k = self.engine.key(x)
+        i = bisect_left(self.keys, k)
+        return i, i < len(self.keys) and self.keys[i] == k
 
     def index_of(self, x):
         i, found = self.locate(x)
@@ -93,20 +89,23 @@ class OrbitFrame:
 
 
 def build_frame(engine, generators: dict, basepoint=None, radius: int = 3) -> OrbitFrame:
-    """Radius-L ball deduplicated into cosets and sorted by the engine.
+    """Radius-L ball deduplicated into cosets and sorted by the engine's keys.
 
-    Deterministic: ball elements are processed by (word length, word), and
-    the first representative of each coset (hence a shortest word) is kept.
+    Deterministic: ball elements are ordered by (word length, word) and
+    stably sorted by key, and the first representative of each coset
+    (hence a shortest word) is kept.
     """
     elements = ball(generators, radius, identity=basepoint)
     items = sorted(elements.items(), key=lambda kv: (len(kv[1]), kv[1]))
-    frame = OrbitFrame(engine, [], {})
-    for el, word in items:
-        i, found = frame.locate(el)
-        if not found:
-            frame.points.insert(i, el)
-            frame.words[el] = word or "e"
-    return frame
+    keyed = sorted(((engine.key(el), el, word) for el, word in items),
+                   key=itemgetter(0))
+    points, words, keys = [], {}, []
+    for k, el, word in keyed:
+        if not keys or keys[-1] != k:
+            points.append(el)
+            words[el] = word or "e"
+            keys.append(k)
+    return OrbitFrame(engine, points, words, keys)
 
 
 def induced_map(frame: OrbitFrame, g) -> dict[int, int]:
@@ -131,34 +130,28 @@ def _sample_indices(n: int, budget: int = 48) -> list[int]:
     return sorted({round(i * step) for i in range(budget)})
 
 
-def _escape(frame: OrbitFrame, g, x, power_bound: int) -> str:
-    """'up'/'down' when the orbit of x leaves the frame span, else 'bounded'
-    (includes reaching a fixed coset).
+def _escape(frame: OrbitFrame, g, i: int, power_bound: int) -> str:
+    """'up'/'down' when the orbit of points[i] leaves the frame span, else
+    'bounded' (includes reaching a fixed coset).
 
     Escape is relative to the frame: an orbit that is bounded in the full
     order but overshoots the deepest ball elements still reads as escaping
     at this radius.
     """
-    lo, hi = frame.points[0], frame.points[-1]
-    y = x
+    key = frame.engine.key
+    lo, hi = frame.keys[0], frame.keys[-1]
+    y, ky = frame.points[i], frame.keys[i]
     for _ in range(power_bound):
-        z = g * y
-        if frame.cmp_elements(z, y) == 0:
+        y = g * y
+        kz = key(y)
+        if kz == ky:
             return "bounded"
-        y = z
-        if frame.cmp_elements(y, hi) > 0:
+        ky = kz
+        if ky > hi:
             return "up"
-        if frame.cmp_elements(y, lo) < 0:
+        if ky < lo:
             return "down"
     return "bounded"
-
-
-def _runs(dirs: list[int]) -> list[int]:
-    out = []
-    for d in dirs:
-        if not out or out[-1] != d:
-            out.append(d)
-    return out
 
 
 def classify_empirical(frame: OrbitFrame, g, power_bound: int = 8) -> DynType:
@@ -172,26 +165,25 @@ def classify_empirical(frame: OrbitFrame, g, power_bound: int = 8) -> DynType:
     the direction pattern with exactly one fixed coset upgrades a
     pseudohomothety to a homothety.  Anything else is Inconclusive.
     """
-    n = len(frame.points)
+    key, points, keys = frame.engine.key, frame.points, frame.keys
+    n = len(points)
     idx = _sample_indices(n)
-    dirs = [frame.cmp_elements(g * frame.points[i], frame.points[i])
-            for i in idx]
+    dirs = [_cmp(key(g * points[i]), keys[i]) for i in idx]
     if dirs[0] == 0 and dirs[-1] == 0:
         # the extremes are fixed cosets, so every orbit stays between them
         return DynType.TOTALLY_BOUNDED
     if len({d for d in dirs if d != 0}) == 1:
         # one-sided drift: bounded iff interior orbits stay inside the span
         ginv = g.inverse()
-        interior = {frame.points[n // 4], frame.points[n // 2],
-                    frame.points[(3 * n) // 4]}
-        if all(_escape(frame, h, x, power_bound) == "bounded"
-               for x in interior for h in (g, ginv)):
+        interior = {n // 4, n // 2, (3 * n) // 4}
+        if all(_escape(frame, h, i, power_bound) == "bounded"
+               for i in interior for h in (g, ginv)):
             return DynType.TOTALLY_BOUNDED
         return DynType.INCONCLUSIVE
 
-    hi = frame.points[-1]
     ginv = g.inverse()
-    fwd, bwd = _escape(frame, g, hi, power_bound), _escape(frame, ginv, hi, power_bound)
+    fwd = _escape(frame, g, n - 1, power_bound)
+    bwd = _escape(frame, ginv, n - 1, power_bound)
     if fwd == "up" and bwd != "up":
         expanding = True
     elif bwd == "up" and fwd != "up":
@@ -201,14 +193,12 @@ def classify_empirical(frame: OrbitFrame, g, power_bound: int = 8) -> DynType:
 
     clean = ([-1, 1], [-1, 0, 1]) if expanding else ([1, -1], [1, 0, -1])
     fixed = -1
-    if _runs(dirs) in clean:
+    if [d for d, _ in groupby(dirs)] in clean:
         # zoom into the sign transition and count fixed cosets exactly
         sgn = -1 if expanding else 1
         a = max(i for i, d in zip(idx, dirs) if d == sgn)
         b = min(i for i, d in zip(idx, dirs) if d == -sgn)
-        fixed = sum(1 for i in range(a, b + 1)
-                    if frame.cmp_elements(g * frame.points[i],
-                                          frame.points[i]) == 0)
+        fixed = sum(1 for i in range(a, b + 1) if key(g * points[i]) == keys[i])
     if expanding:
         return (DynType.HOMOTHETY_EXPANDING if fixed == 1
                 else DynType.EXPANDING_PSEUDOHOMOTHETY)
@@ -243,31 +233,20 @@ def classify_predicted(g: PLMap, horograding: str = "increasing") -> DynType:
         return DynType.TOTALLY_BOUNDED
     if g.model == "unit":
         s = g.slopes[-1]
-        if s == 1:
-            out = DynType.TOTALLY_BOUNDED
-        else:
-            expanding = s < 1
-            interior = any(hi > 0 and lo < 1
-                           for lo, hi in g.fixed_structure().fixed)
-            if expanding:
-                out = (DynType.EXPANDING_PSEUDOHOMOTHETY if interior
-                       else DynType.HOMOTHETY_EXPANDING)
-            else:
-                out = (DynType.CONTRACTING_PSEUDOHOMOTHETY if interior
-                       else DynType.HOMOTHETY_CONTRACTING)
+        trivial, expanding = s == 1, s < 1
+        fixed_free = not any(hi > 0 and lo < 1 for lo, hi in g.fixed_structure().fixed)
     else:
         s, c = g.germ("+inf")
-        if s == 1 and c == 0:
-            out = DynType.TOTALLY_BOUNDED
-        else:
-            expanding = s > 1 or (s == 1 and c > 0)
-            fixed_free = not g.fixed_structure().fixed
-            if expanding:
-                out = (DynType.HOMOTHETY_EXPANDING if fixed_free
-                       else DynType.EXPANDING_PSEUDOHOMOTHETY)
-            else:
-                out = (DynType.HOMOTHETY_CONTRACTING if fixed_free
-                       else DynType.CONTRACTING_PSEUDOHOMOTHETY)
+        trivial, expanding = s == 1 and c == 0, s > 1 or (s == 1 and c > 0)
+        fixed_free = not g.fixed_structure().fixed
+    if trivial:
+        out = DynType.TOTALLY_BOUNDED
+    elif expanding:
+        out = (DynType.HOMOTHETY_EXPANDING if fixed_free
+               else DynType.EXPANDING_PSEUDOHOMOTHETY)
+    else:
+        out = (DynType.HOMOTHETY_CONTRACTING if fixed_free
+               else DynType.CONTRACTING_PSEUDOHOMOTHETY)
     return _flip(out) if horograding == "decreasing" else out
 
 
@@ -307,28 +286,28 @@ def homothety_witness(engine, g, test_points, fixed_point=None,
     is returned if there is none.
     """
     pts = list(test_points)
-
-    def cmp(u, v) -> int:
-        return engine.sign(v.inverse() * u).value
-
+    key = engine.key
+    keys = [key(x) for x in pts]
     if fixed_point is not None:
-        if cmp(g * fixed_point, fixed_point) != 0:
+        center = key(fixed_point)
+        if key(g * fixed_point) != center:
             raise NoFixedPoint("g does not fix the designated point")
-        center = fixed_point
     else:
-        center = next((x for x in pts if cmp(g * x, x) == 0), None)
+        center = next((k for x, k in zip(pts, keys) if key(g * x) == k), None)
         if center is None:
             return False
 
     def escapes(h) -> bool:
-        for x in pts:
-            side = cmp(x, center)
+        for x, kx in zip(pts, keys):
+            side = _cmp(kx, center)
             if side == 0:
                 continue
             y = x
             for _ in range(max_power):
                 y = h * y
-                if all(cmp(y, p) == side for p in pts if p is not x):
+                ky = key(y)
+                if all(_cmp(ky, kp) == side
+                       for p, kp in zip(pts, keys) if p is not x):
                     break
             else:
                 return False

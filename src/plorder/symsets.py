@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .plante import MINUS_INFINITY
 from .plgroup import PLMap, int_log2
@@ -38,13 +39,6 @@ class DepthExceeded(RuntimeError):
 # ---------------------------------------------------------------------------
 # Word pairs and the cancellation property
 # ---------------------------------------------------------------------------
-
-def _block_parses(z: str, w1: str, w2: str) -> bool:
-    W = len(w1)
-    if len(z) % W:
-        return False
-    return all(z[i:i + W] in (w1, w2) for i in range(0, len(z), W))
-
 
 def cancellation_check(w1: str, w2: str, bound: int | None = None) -> bool:
     """True iff every finite word carrying one infinite concatenation of
@@ -79,16 +73,8 @@ def _has_infinite_run(p: str, w1: str, w2: str) -> bool:
             succ[q] = out
         return succ[q]
 
-    # infinite run exists iff p reaches a cycle
-    seen: set[str] = set()
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        if q in seen:
-            continue
-        seen.add(q)
-        stack.extend(outs(q))
-    # cycle detection on the reachable subgraph
+    # an infinite run exists iff p reaches a cycle: depth-first search from
+    # p meets a state still on its stack
     color: dict[str, int] = {}
 
     def has_cycle(q: str) -> bool:
@@ -100,7 +86,7 @@ def _has_infinite_run(p: str, w1: str, w2: str) -> bool:
         color[q] = 2
         return False
 
-    return any(color.get(q, 0) == 0 and has_cycle(q) for q in seen)
+    return has_cycle(p)
 
 
 class WordPair:
@@ -210,7 +196,8 @@ class TailSet:
                 (len(pieces) == 1 or _hull(*pieces[-2], pair)[1] < hi - 1):
             pieces.pop()
             hi -= 1
-        if not pieces:
+        if lo == hi:
+            # no pieces and no gap between the tails: the base set itself
             lo = hi = 0
         for (d1, k1), (d2, k2) in zip(pieces, pieces[1:]):
             if _hull(d1, k1, pair)[1] >= _hull(d2, k2, pair)[0]:
@@ -429,6 +416,9 @@ def ok_compare(a: TailSet, b: TailSet) -> int:
     return _compare(a, b)[0]
 
 
+_ok_key = cmp_to_key(ok_compare)
+
+
 def alpha(a: TailSet, b: TailSet):
     """Supremum of the symmetric difference (the top disagreement point);
     MINUS_INFINITY for equal sets.  Ultrametric and action-equivariant."""
@@ -458,11 +448,15 @@ def line_generators() -> dict[str, PLMap]:
 
 
 class SymbolicEngine:
-    """sign(g) = comparison of g(K) against K for the base tail set K."""
+    """sign(g) = comparison of g(K) against K for the base tail set K; the
+    key of g is g(K), compared with ok_compare."""
 
     def __init__(self, pair: WordPair | None = None):
         self.pair = pair or WordPair()
         self.base = TailSet.base(self.pair)
+
+    def key(self, g: PLMap):
+        return _ok_key(self.base.image(g))
 
     def sign(self, g: PLMap) -> Sign:
         return Sign(ok_compare(self.base.image(g), self.base))

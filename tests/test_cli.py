@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 
 import pytest
@@ -113,6 +114,27 @@ class TestCommands:
         assert out.read_text().startswith("<svg")
 
 
+# sha256 of `plorder realize --radius 3 --emit csv` per engine, recorded
+# before frames became sorted keys; the frames must not change.
+FROZEN_REALIZE_CSV = {
+    "jump:right,lex": "c64853e324a9e5eaac19dcfb33855869ac2501885a28bea31c5fac7a7bd8da97",
+    "jump:right,opp": "6b19f9e1e1209ea309b35561be9b1e31abfc511393dc97e9eeb91640de1e1227",
+    "jump:left,lex": "1064dd9800132bd87b4f0b6e21d8fbfe40e68d46c5f0f49bf8a9cfe52f151f8b",
+    "jump:left,opp": "66dba02366072cf3c2b0108d5df4ac7251730bf071a81bcc32ac19773e519b55",
+    "prime:2": "0c549b8b82bee0c8e329b6617bfe77335b99cc5c7f3ac691bd3ca2fdb3da4519",
+    "prime:3": "c5b92b5eb3967b967c3658fd4cc04bbf484815c92556e1334fe4eb48fd702135",
+    "escaping": "39515a29f08cf26d66d70319f76309d0c8f1a40ec4a4a607e642859cede89610",
+    "plante": "a94c1d0ed48ec6f85d044457659cd473ea74012eaed688cf9f4802f77b16c925",
+}
+
+
+@pytest.mark.parametrize("engine", sorted(FROZEN_REALIZE_CSV))
+def test_realize_csv_is_frozen(engine, capsys):
+    assert main(["realize", "--engine", engine, "--radius", "3", "--emit", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_REALIZE_CSV[engine]
+
+
 class TestBadInput:
     """Bad engine parameters and radii end in exit 2 with a reason."""
 
@@ -143,3 +165,12 @@ class TestBadInput:
     def test_realize_radius_zero(self, capsys):
         self._rejects(["realize", "--radius", "0"], capsys,
                       "--radius must be at least 1")
+
+    def test_combined_engine_is_gone(self, capsys):
+        self._rejects(["sign", "--engine", "combined", "--word", "t(1)"], capsys,
+                      "unknown engine")
+
+    def test_jump_rejects_any_slope_outside_two(self, capsys):
+        # the outermost jump (slope 2 at 1) alone would read Negative
+        self._rejects(["sign", "--word", "g+(0,3)*g+(1,2)"], capsys,
+                      "not available")

@@ -9,7 +9,6 @@ from plorder.plante import (
     PlanteEngine,
     WreathElement,
     commutator,
-    config_compare,
     cset_family_cross_free,
     delta_kernel,
     plante_sign,
@@ -90,9 +89,11 @@ class TestPlanteSign:
     def test_config_compare(self):
         a = WreathElement({0: 1, 2: 1})
         b = WreathElement({0: 5, 2: 1})
-        assert config_compare(a, b) == -1
-        assert config_compare(b, a) == 1
-        assert config_compare(a, a) == 0
+        # keys compare configurations at the top disagreement; shifts are ignored
+        eng = PlanteEngine()
+        assert eng.key(a) < eng.key(b)
+        assert eng.key(b) > eng.key(a)
+        assert eng.key(a) == eng.key(WreathElement({0: 1, 2: 1}, shift=3))
 
 
 class TestDeltaKernel:

@@ -95,6 +95,18 @@ class TestTailSet:
         assert s.image(gens["t"]) == s
         assert s.image(gens["t"] ** -3) == s
 
+    def test_gap_between_tails_is_kept(self):
+        # x - 2 below 0 and the identity above 1/4: the image drops the
+        # translates -2 + K0 and -1 + K0, leaving a gap with no pieces
+        s = TailSet.base()
+        g = PLMap.from_text("line;1,-2;0:16,-2;1/8:2,-1/4;1/4:1,0")
+        img = s.image(g)
+        assert (img.lo, img.hi, img.pieces) == (-2, 0, ())
+        assert img != s
+        assert not img.contains(-1 + s.pair.top)
+        assert ok_compare(img, s) == -1
+        assert TailSet(s.pair, 3, 3) == s
+
     def test_image_respects_membership(self, ok_ball):
         rng = random.Random(0)
         base, pair = ok_ball["base"], ok_ball["base"].pair
