@@ -154,15 +154,24 @@ def parse_engine(desc: str):
     raise InputError(f"unknown engine {desc!r}")
 
 
+def _fplus_family() -> dict:
+    """Generators of F_+, where the restriction engine lives: a and
+    c = b^-1*a*b, both with trivial right germ (tau1 = 0)."""
+    a, b = thompson_f_pair()
+    return {"a": a, "c": b.inverse() * a * b}
+
+
 _FAMILIES = {
     "bs2": lambda: {"t(1)": translation(1), "g+(0,2)": bs_g_plus(0, 2)},
     "thompsonF": lambda: dict(zip("ab", thompson_f_pair())),
+    "fplus": _fplus_family,
+    "line": line_generators,
     "plante": lambda: {"t": WreathElement.shift_by(1),
                        "h0": WreathElement.lamp_at(0)},
 }
 
 _DEFAULT_FAMILY = {"jump": "bs2", "escaping": "thompsonF", "plante": "plante",
-                   "restriction": "thompsonF", "ok": "thompsonF",
+                   "restriction": "fplus", "ok": "line",
                    "prime": "bs2"}
 
 
@@ -330,7 +339,7 @@ def cmd_relators(args) -> int:
 
 def cmd_cancel(args) -> int:
     try:
-        verdict = cancellation_check(args.w1, args.w2, bound=args.bound)
+        verdict = cancellation_check(args.w1, args.w2)
     except ValueError as e:
         raise InputError(str(e)) from None
     print("true" if verdict else "false")
@@ -406,7 +415,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="engine descriptor, e.g. jump:right,lex / "
                              "escaping / prime:3 / plante / ok")
         sp.add_argument("--family", choices=sorted(_FAMILIES),
-                        help="generator family (default depends on engine)")
+                        help="generator family (default depends on engine); "
+                             "fplus is {a, c = b^-1*a*b}, line is {t, h}")
         sp.add_argument("--radius", type=int, default=4)
         if word:
             sp.add_argument("--word", required=True, help="element word")
@@ -447,7 +457,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cancel", help="independence of a binary word pair")
     sp.add_argument("w1")
     sp.add_argument("w2")
-    sp.add_argument("--bound", type=int, default=None)
     sp.set_defaults(fn=cmd_cancel)
 
     sp = sub.add_parser("index", help="module index |A / I_Lambda A| offset")

@@ -188,13 +188,6 @@ class SlopeGroup:
         target = exponent_vector(r, self.primes)
         return tuple(_solve_integer_system(self._cols, target))
 
-    def contains(self, r) -> bool:
-        try:
-            self.decompose(r)
-            return True
-        except NotInGroup:
-            return False
-
     def product(self, vec) -> Fraction:
         if len(vec) != self.rank:
             raise DimensionMismatch(f"expected {self.rank} exponents")

@@ -3,10 +3,12 @@
 Elements are pairs (lamp, shift): a finitely supported configuration
 lamp : Z -> Z^k together with an integer shift acting by translation.
 The Plante sign of an element reads the lamp value at the top of its
-support through a lattice preorder on Z^k.  Agreement sets C(sigma, cut)
-("configurations matching sigma strictly above the cut") form a
-cross-free family, and the top disagreement point gives an ultrametric
-kernel on configurations.
+support through a lattice preorder on Z^k.  The top disagreement point
+gives an ultrametric kernel delta on configurations, and the agreement set
+C(sigma, cut) ("configurations matching sigma strictly above the cut") is
+the ball {tau : delta(sigma, tau) <= cut}.  Any two such balls are nested
+or disjoint, so a family of them is a nesting forest: a finite piece of the
+planar real tree on which the wreath product acts.
 """
 
 from __future__ import annotations
@@ -126,10 +128,6 @@ class WreathElement:
         return f"WreathElement({{{items}}}, shift={self.shift})"
 
 
-def commutator(a: WreathElement, b: WreathElement) -> WreathElement:
-    return a * b * a.inverse() * b.inverse()
-
-
 # ---------------------------------------------------------------------------
 # Plante sign
 # ---------------------------------------------------------------------------
@@ -220,7 +218,7 @@ class CSet:
     def relation(self, other: "CSet") -> str:
         """'equal' | 'subset' | 'superset' | 'disjoint'.
 
-        Never 'crossing': two agreement sets are nested or disjoint.  The
+        Two agreement sets are balls of delta, hence nested or disjoint.  The
         patterns are compared above the higher cut; if they agree there,
         the set with the lower cut (the stronger constraint) is inside the
         other, and otherwise the sets are disjoint.
@@ -236,13 +234,10 @@ class CSet:
             return "equal"
         return "superset" if self is lo else "subset"
 
-    def crosses(self, other: "CSet") -> bool:
-        return self.relation(other) == "crossing"
-
     def __eq__(self, other):
         if not isinstance(other, CSet):
             return NotImplemented
-        return self.relation(other) == "equal"
+        return (self.cut, self.pattern, self.k) == (other.cut, other.pattern, other.k)
 
     def __hash__(self):
         return hash((self.cut, self.pattern))
@@ -251,12 +246,33 @@ class CSet:
         return f"CSet(cut={self.cut}, pattern={self.pattern})"
 
 
-def cset_family_cross_free(csets) -> bool:
-    """True iff no two C-sets cross, checked pairwise through CSet.relation.
+def _nesting_forest(csets) -> dict:
+    """{C-set: its parent, or None for a root} over the family's distinct
+    C-sets.  C(sigma, c) lies strictly inside C(tau, d) iff d > c and the
+    patterns agree above d, so the parent of (c, p) is (d, p above d) for
+    the smallest family cut d > c at which that node exists."""
+    nodes = {(c.cut, c.pattern, c.k): c for c in csets}
+    cuts = sorted({cut for cut, _, _ in nodes})
+    forest = {}
+    for (cut, pattern, k), node in nodes.items():
+        larger = (nodes.get((d, tuple(e for e in pattern if e[0] > d), k))
+                  for d in cuts if d > cut)
+        forest[node] = next((p for p in larger if p is not None), None)
+    return forest
 
-    Two agreement sets are always nested or disjoint (see CSet.relation),
-    so every family passes; the scan confirms it pair by pair.
+
+def cset_family_cross_free(csets) -> bool:
+    """True iff the C-sets are pairwise nested or disjoint, certified on
+    their nesting forest through CSet.relation: each C-set is a 'subset' of
+    its parent, and the children of each node (the roots among them) are
+    pairwise 'disjoint'.  Two C-sets with no ancestor link then lie in
+    distinct disjoint siblings, so this is exactly laminarity.
     """
-    csets = list(csets)
-    return not any(csets[i].crosses(csets[j])
-                   for i in range(len(csets)) for j in range(i + 1, len(csets)))
+    children = {}
+    for node, parent in _nesting_forest(csets).items():
+        if parent is not None and node.relation(parent) != "subset":
+            return False
+        children.setdefault(parent, []).append(node)
+    return all(a.relation(b) == "disjoint"
+               for sibs in children.values()
+               for i, a in enumerate(sibs) for b in sibs[i + 1:])

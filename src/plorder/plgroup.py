@@ -4,7 +4,7 @@ PLMap is a finitary orientation-preserving PL bijection of [0,1] (fixing the
 endpoints) or of the line (with affine end germs).  On top of the group law
 the module provides germ data, jump cocycles, fixed-point structure, standard
 generating sets (Thompson's F, Bieri-Strebel groups), relator verification,
-2-chain witnesses, linked-pair detection and the cross-free predicate.
+2-chain witnesses and the cross-free predicate.
 """
 
 from __future__ import annotations
@@ -170,23 +170,6 @@ class PLMap:
             raise OutOfDomain(f"{x} outside [0,1]")
         i = self.piece_index(x)
         return self.slopes[i] * x + self.offsets[i]
-
-    def derivative(self, x, side: str = "right") -> Fraction:
-        """One-sided slope D^+ or D^- at x."""
-        x = Fraction(x)
-        if side == "right":
-            if self.model == "unit" and x == 1:
-                raise OutOfDomain("no right derivative at 1")
-            return self.slopes[bisect_right(self.breakpoints, x)]
-        if side == "left":
-            if self.model == "unit" and x == 0:
-                raise OutOfDomain("no left derivative at 0")
-            # index of the piece just left of x
-            i = bisect_right(self.breakpoints, x)
-            if i > 0 and self.breakpoints[i - 1] == x:
-                i -= 1
-            return self.slopes[i]
-        raise ValueError("side must be 'left' or 'right'")
 
     # -- group law ----------------------------------------------------------
 
@@ -548,25 +531,6 @@ def crossing_pair(intervals) -> tuple[int, int] | None:
 def cross_free(intervals) -> bool:
     """True iff all pairs are nested or disjoint."""
     return crossing_pair(intervals) is None
-
-
-def linked_pair(f: PLMap, g: PLMap) -> bool:
-    """Detect a linked pair of successive fixed points.
-
-    Support components (a,b) of f and (c,d) of g are linked when exactly one
-    endpoint of one lies strictly inside the other.
-    """
-    def inside(x, lo, hi):
-        return (x is not None
-                and (lo is None or lo < x) and (hi is None or x < hi))
-
-    for a, b in f.support():
-        for c, d in g.support():
-            n1 = int(inside(a, c, d)) + int(inside(b, c, d))
-            n2 = int(inside(c, a, b)) + int(inside(d, a, b))
-            if n1 == 1 or n2 == 1:
-                return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ class Sign(enum.Enum):
 
 
 class NotInFPlus(ValueError):
-    """The element has a nontrivial germ at the right endpoint."""
+    """The element is not a unit-interval map with trivial germ at 1."""
 
 
 class SlopeNotInGroup(ValueError):
@@ -69,7 +69,10 @@ class DiscreteInvariantSet:
         self._down = self._up.inverse()
 
     def points_desc(self, upper: Fraction):
-        """K-points strictly below upper, in decreasing order (lazy)."""
+        """K-points strictly below upper, in decreasing order (lazy).  K
+        accumulates at 0 and 1, so upper must lie in (0, 1)."""
+        if not 0 < upper < 1:
+            raise ValueError(f"upper = {upper} must lie in (0, 1)")
         down = self._down
         heads = []
         for s in self.seeds:
@@ -84,25 +87,6 @@ class DiscreteInvariantSet:
             yield heads[i]
             heads[i] = down(heads[i])
 
-    def points_between(self, lo: Fraction, hi: Fraction) -> list[Fraction]:
-        """Sorted list of K-points in (lo, hi)."""
-        out = []
-        for x in self.points_desc(hi):
-            if x <= lo:
-                break
-            out.append(x)
-        return sorted(out)
-
-    def contains(self, x) -> bool:
-        x = Fraction(x)
-        if not 0 < x < 1:
-            return False
-        for p in self.points_desc((1 + x) / 2):
-            if p == x:
-                return True
-            if p < x:
-                return False
-
 
 def _top_disagreement(u: PLMap, v: PLMap, K: DiscreteInvariantSet):
     """Highest x in K with u(x) != v(x), or None when u and v agree on K.
@@ -111,6 +95,8 @@ def _top_disagreement(u: PLMap, v: PLMap, K: DiscreteInvariantSet):
     agree above their highest breakpoint.  Below their lowest breakpoint
     both are linear through 0, so the first K-point there decides.
     """
+    if u.model != "unit" or v.model != "unit":
+        raise NotInFPlus("unit-interval maps only")
     t = tau1(u) - tau1(v)
     if t:
         raise NotInFPlus(f"tau1 = {t}")
@@ -230,14 +216,6 @@ class JumpEngine:
 
     def sign(self, g: PLMap) -> Sign:
         return _key_sign(self.key(g))
-
-    def critical_point(self, g: PLMap):
-        """x_{g,Lambda_0}, or None for residue elements."""
-        key = self.key(g)
-        if len(key) == 2:
-            return None
-        s, sy, _ = key[1]
-        return g.inverse()(s * sy if self.side == "right" else -s * sy)
 
     def __repr__(self):
         return f"JumpEngine(side={self.side!r}, group={self.group!r})"

@@ -32,8 +32,7 @@ class NonDyadicMap(ValueError):
 
 
 class DepthExceeded(RuntimeError):
-    """A search descended past the refinement guard (the query point is in,
-    or adherent to, the set)."""
+    """An image or a comparison split pieces past its refinement guard."""
 
 
 # ---------------------------------------------------------------------------
@@ -243,32 +242,6 @@ class TailSet:
             return False
         return self.pair.contains_unit(x - n)
 
-    # -- descending piece stream -------------------------------------------
-
-    def _desc(self, start: int):
-        """All pieces with hull top below start+1, in decreasing order;
-        the bottom integer tail makes the stream infinite."""
-        n = max(start, self.hi)
-        while n >= self.hi:
-            yield (Fraction(n), 0)
-            n -= 1
-        for p in reversed(self.pieces):
-            yield p
-        n = self.lo - 1
-        while True:
-            yield (Fraction(n), 0)
-            n -= 1
-
-    def max_below(self, y, depth: int = 400) -> Fraction:
-        """Largest element strictly below y."""
-        y = Fraction(y)
-        for d, k in self._desc(_floor(y) + 1):
-            top = d + Fraction(self.pair.top, 1 << k)
-            if top < y:
-                return top
-            if d + Fraction(self.pair.bottom, 1 << k) < y:
-                return _max_below_piece(d, k, y, self.pair, depth)
-
     # -- image --------------------------------------------------------------
 
     def image(self, g: PLMap, depth: int = 500) -> "TailSet":
@@ -349,21 +322,6 @@ def _merge_siblings(pieces: list[_Piece], pair: WordPair) -> list[_Piece]:
                 changed = True
                 break
     return sorted(pieces, key=lambda p: _hull(*p, pair))
-
-
-def _max_below_piece(d: Fraction, k: int, y: Fraction,
-                     pair: WordPair, depth: int) -> Fraction:
-    """Largest point of the piece strictly below y; the caller guarantees
-    one exists (y above the piece minimum)."""
-    if depth <= 0:
-        raise DepthExceeded("max_below refinement guard hit")
-    for cd, ck in reversed(_children(d, k, pair)):
-        top = cd + Fraction(pair.top, 1 << ck)
-        if top < y:
-            return top
-        if cd + Fraction(pair.bottom, 1 << ck) < y:
-            return _max_below_piece(cd, ck, y, pair, depth - pair.width)
-    raise AssertionError("unreachable: no child below the query")
 
 
 # ---------------------------------------------------------------------------

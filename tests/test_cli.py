@@ -44,11 +44,14 @@ class TestCommands:
         assert main(["index", "2", "2"]) == 2
 
     def test_cancel(self, capsys):
-        assert main(["cancel", "10001", "01110", "--bound", "20"]) == 0
+        assert main(["cancel", "10001", "01110"]) == 0
         assert capsys.readouterr().out.strip() == "true"
         assert main(["cancel", "01", "10"]) == 0
         assert capsys.readouterr().out.strip() == "false"
         assert main(["cancel", "01", "011"]) == 2
+        # the cancellation automaton is exact: there is no search bound
+        with pytest.raises(SystemExit):
+            main(["cancel", "0", "1", "--bound", "20"])
 
     def test_sign(self, capsys):
         assert main(["sign", "--engine", "jump:right,lex",
@@ -89,6 +92,13 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["conjugatesCommute"] and report["csetsCrossFree"]
 
+    @pytest.mark.parametrize("radius, ball", [(3, 53), (4, 153)])
+    def test_plante_report_is_frozen(self, radius, ball, capsys):
+        assert main(["plante", "--radius", str(radius)]) == 0
+        assert capsys.readouterr().out == (
+            '{"conjugatesCommute": true, "csetsCrossFree": true, '
+            f'"ball": {ball}}}\n')
+
     def test_okorder(self, capsys):
         assert main(["okorder", "--word", "h^-1"]) == 0
         assert capsys.readouterr().out.strip() == "Positive"
@@ -112,6 +122,25 @@ class TestCommands:
         assert main(["realize", "--engine", "plante",
                      "--radius", "3", "--emit", "svg", "-o", str(out)]) == 0
         assert out.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("engine, family, rows", [
+        ("restriction", "fplus", 28), ("ok", "line", 27)])
+    def test_default_family_is_in_domain(self, engine, family, rows, capsys):
+        # each engine's default family lies inside the engine's domain
+        assert main(["realize", "--engine", engine, "--radius", "3"]) == 0
+        out = capsys.readouterr().out
+        assert len(out.strip().splitlines()) == rows + 1
+        assert main(["realize", "--engine", engine, "--family", family,
+                     "--radius", "3"]) == 0
+        assert capsys.readouterr().out == out
+
+    def test_classify_restriction_and_ok(self, capsys):
+        assert main(["classify", "--engine", "restriction", "--radius", "3",
+                     "--word", "b^-1*a*b"]) == 0
+        assert "empirical:" in capsys.readouterr().out
+        assert main(["classify", "--engine", "ok", "--radius", "3",
+                     "--word", "t(1)"]) == 0
+        assert "empirical: Homothety(expanding)" in capsys.readouterr().out
 
 
 # sha256 of `plorder realize --radius 3 --emit csv` per engine, recorded
@@ -165,6 +194,12 @@ class TestBadInput:
     def test_realize_radius_zero(self, capsys):
         self._rejects(["realize", "--radius", "0"], capsys,
                       "--radius must be at least 1")
+
+    @pytest.mark.parametrize("word", ["g-(0,2)", "t(1)"])
+    def test_restriction_rejects_line_maps(self, word, capsys):
+        # g-(0,2) used to hang scanning K below its breakpoint 0
+        self._rejects(["sign", "--engine", "restriction", "--word", word], capsys,
+                      "unit-interval maps only")
 
     def test_combined_engine_is_gone(self, capsys):
         self._rejects(["sign", "--engine", "combined", "--word", "t(1)"], capsys,

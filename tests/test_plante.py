@@ -8,11 +8,12 @@ from plorder.plante import (
     CSet,
     PlanteEngine,
     WreathElement,
-    commutator,
+    _nesting_forest,
     cset_family_cross_free,
     delta_kernel,
     plante_sign,
 )
+from plorder.plgroup import ball
 from plorder.preorders import Sign
 
 
@@ -48,10 +49,9 @@ class TestWreathAlgebra:
         t = WreathElement.shift_by(1)
         h0 = WreathElement.lamp_at(0)
         hs = [t ** n * h0 * t ** -n for n in range(-3, 7)]
-        e = WreathElement.identity()
         for x in hs:
             for y in hs:
-                assert commutator(x, y) == e
+                assert x * y == y * x
 
     def test_pow_matches_repeated_product(self):
         rng = random.Random(2)
@@ -146,10 +146,8 @@ class TestCSets:
         assert inner.relation(CSet(sigma, 0)) == "equal"
         other = CSet(WreathElement({1: 2, 3: 2}), 0)
         assert inner.relation(other) == "disjoint"
-        assert not inner.crosses(other)
 
     def test_family_cross_free(self, plante_gens):
-        from plorder.plgroup import ball
         elements = list(ball(plante_gens, 4,
                              identity=WreathElement.identity()))
         csets = [CSet(sigma, cut) for sigma in elements for cut in (-1, 0, 1)]
@@ -174,3 +172,89 @@ class TestCSets:
                     assert inB <= inA
                 elif rel == "equal":
                     assert inA == inB
+
+
+def rand_family(rng, k, size):
+    """Seeded C-sets over small lamps with repeated cuts in -3..2, so that
+    many of them share patterns and nest."""
+    def value():
+        v = tuple(rng.randint(-1, 1) for _ in range(k))
+        return v if k > 1 else v[0]
+    sigmas = [WreathElement({x: value() for x in range(-3, 4) if rng.random() < 0.5},
+                            0, k) for _ in range(size)]
+    return [CSet(rng.choice(sigmas), rng.randint(-3, 2)) for _ in range(3 * size)]
+
+
+def ancestors(forest, node):
+    out = []
+    while forest[node] is not None:
+        node = forest[node]
+        out.append(node)
+    return out
+
+
+class TestNestingForest:
+    """The pairwise relation table is the oracle for the forest."""
+
+    def check_against_relation(self, family):
+        forest = _nesting_forest(family)
+        assert set(forest) == set(family)
+        nodes = list(forest)
+        above = {n: set(ancestors(forest, n)) for n in nodes}
+        for i, a in enumerate(nodes):
+            assert a.relation(a) == "equal"
+            for b in nodes[i + 1:]:
+                if b in above[a]:
+                    want = "subset"
+                elif a in above[b]:
+                    want = "superset"
+                else:
+                    want = "disjoint"
+                assert a.relation(b) == want, (a, b)
+        return forest
+
+    @pytest.mark.parametrize("k, seed", [(1, 0), (1, 1), (2, 2), (2, 3)])
+    def test_ancestry_matches_relation(self, k, seed):
+        family = rand_family(random.Random(seed), k, 40)
+        forest = self.check_against_relation(family)
+        assert len(forest) < len(family)
+        assert any(parent is not None for parent in forest.values())
+
+    def test_ancestry_matches_relation_on_criterion7_family(self, plante_gens):
+        elements = ball(plante_gens, 6, identity=WreathElement.identity())
+        family = {CSet(sigma, cut) for sigma in elements for cut in (-2, -1, 0, 1)}
+        forest = self.check_against_relation(family)
+        assert (len(forest), sum(p is None for p in forest.values())) == (692, 41)
+
+    def test_parent_is_smallest_larger_cset(self):
+        sigma = WreathElement({1: 1, 3: 2})
+        family = [CSet(sigma, c) for c in (-1, 2, 0)] + [CSet(WreathElement(), 5)]
+        forest = _nesting_forest(family)
+        assert forest[CSet(sigma, -1)] == CSet(sigma, 0)
+        assert forest[CSet(sigma, 0)] == CSet(sigma, 2)
+        assert forest[CSet(sigma, 2)] == CSet(sigma, 5)
+        assert forest[CSet(sigma, 5)] is None
+
+    @pytest.mark.parametrize("corrupt", ["edge", "siblings"])
+    def test_misreported_relation_fails(self, corrupt, plante_gens, monkeypatch):
+        elements = ball(plante_gens, 3, identity=WreathElement.identity())
+        family = [CSet(sigma, cut) for sigma in elements for cut in (-1, 0, 1)]
+        assert cset_family_cross_free(family)
+        forest = _nesting_forest(family)
+        if corrupt == "edge":
+            child = next(n for n, p in forest.items() if p is not None)
+            bad, lie = {(child, forest[child])}, "disjoint"
+        else:
+            roots = [n for n, p in forest.items() if p is None]
+            bad, lie = {(roots[0], roots[1]), (roots[1], roots[0])}, "subset"
+        relation = CSet.relation
+        monkeypatch.setattr(CSet, "relation", lambda a, b: lie if (a, b) in bad
+                            else relation(a, b))
+        assert not cset_family_cross_free(family)
+
+    def test_equal_csets_collapse(self):
+        a = CSet(WreathElement({0: 5, 2: 1}), 0)
+        b = CSet(WreathElement({-3: 1, 2: 1}), 0)
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert a != CSet(WreathElement({0: 5, 2: 1}), 1)

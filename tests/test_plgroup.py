@@ -15,7 +15,6 @@ from plorder.plgroup import (
     cross_free,
     f_big_generator,
     jump_cocycle,
-    linked_pair,
     relator_defects,
     standard_generators,
     tau0,
@@ -221,13 +220,6 @@ class TestIntervalCombinatorics:
         assert cross_free([(None, 1), (1, None)])
         assert not cross_free([(None, 2), (1, None)])
         assert not cross_free([(0, None), (None, 1)])
-
-    def test_linked_pair(self):
-        assert linked_pair(F_BUMP, G_BUMP)
-        far = PLMap.from_points(
-            "unit", [(0, 0), (F(3, 4), F(3, 4)), (F(13, 16), F(27, 32)),
-                     (F(7, 8), F(7, 8)), (1, 1)])
-        assert not linked_pair(F_BUMP, far)
 
 
 class TestCommutator:

@@ -31,18 +31,18 @@ class TestDiscreteInvariantSet:
     def test_contains_orbit_points(self):
         f0 = f_big_generator()
         K = DiscreteInvariantSet(f0)
-        x = F(1, 2)
-        for _ in range(3):
-            assert K.contains(x)
-            x = f0(x)
-        assert not K.contains(F(1, 3))
-        assert not K.contains(F(2))
-
-    def test_points_between_sorted(self):
-        K = DiscreteInvariantSet(f_big_generator())
-        pts = K.points_between(F(1, 100), F(99, 100))
-        assert pts == sorted(pts)
-        assert all(K.contains(p) for p in pts)
+        # the orbit of the seed 1/2 from the top down to f0^-1(1/2) = 1/4
+        below = []
+        for x in K.points_desc(F(15, 16)):
+            if x < F(1, 4):
+                break
+            below.append(x)
+        assert below == [f0(f0(F(1, 2))), f0(F(1, 2)), F(1, 2), F(1, 4)]
+        assert F(1, 3) not in below
+        # no largest K-point lies below 1 (or none at all below 0)
+        for upper in (F(1), F(2), F(0)):
+            with pytest.raises(ValueError):
+                next(K.points_desc(upper))
 
     def test_rejects_bad_anchor(self):
         a = PLMap.from_points(
@@ -112,14 +112,6 @@ class TestJump:
 
     def test_translations_are_residue(self):
         assert jump_sign(translation(F(7, 3)), "right") == Sign.RESIDUE
-
-    def test_critical_point(self):
-        eng = JumpEngine(side="right")
-        assert eng.critical_point(bs_g_plus(0, 2)) == 0
-        assert eng.critical_point(translation(1)) is None
-        t = translation(1)
-        g = t * bs_g_plus(0, 2) * t.inverse()
-        assert eng.critical_point(g) == 1
 
 
 class TestPrimeJump:

@@ -78,16 +78,6 @@ class TestTailSet:
             assert s.contains(n + pair.bottom)
         assert not s.contains(F(1, 2))
 
-    def test_max_below(self):
-        s = TailSet.base()
-        assert s.max_below(F(3)) == 2 + s.pair.top
-        assert s.max_below(2 + s.pair.bottom) == 1 + s.pair.top
-        # the top of a piece is approached from below inside the set, so a
-        # strict max does not exist and the refinement guard fires
-        from plorder.symsets import DepthExceeded
-        with pytest.raises(DepthExceeded):
-            s.max_below(2 + s.pair.top)
-
     def test_translation_fixes_base(self):
         # the base set is the union of all integer translates
         gens = line_generators()
