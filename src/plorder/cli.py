@@ -3,6 +3,10 @@
 Subcommands: sign, classify, realize, check, twochain, relators, cancel,
 index, plante, okorder.  Exit codes: 0 success, 1 property failure (with a
 witness on stderr), 2 input error.
+
+sign, classify and okorder read --word over the engine's generator family,
+so every word a frame prints parses back; classify predicts the dynamical
+type at the engine's focal end (JumpEngine.side, else the right end).
 """
 
 from __future__ import annotations
@@ -57,15 +61,28 @@ _ATOM = re.compile(
     r"(?:\^(?P<exp>-?\d+))?$")
 
 
-def _base_map(name: str, args: str | None) -> PLMap:
+def _parse_atoms(text: str, atom):
+    """The one word grammar: "*"-separated atoms name(args)^exp, multiplied
+    left to right; atom(name, args) is the element an atom names (args is
+    None without parentheses)."""
+    out = None
+    for part in text.split("*"):
+        m = _ATOM.match(part.strip())
+        if not m:
+            raise InputError(f"cannot parse atom {part!r}")
+        g = atom(m.group("name"), m.group("args")) ** int(m.group("exp") or 1)
+        out = g if out is None else out * g
+    return out
+
+
+def _pl_atom(name: str, args: str | None) -> PLMap:
     vals = [parse_rational(s) for s in args.split(",")] if args else []
+    if name in ("e", "id", "a", "b") and vals:
+        raise InputError(f"{name} takes no arguments")
     if name in ("e", "id"):
-        return PLMap.identity("unit" if not vals else "line")
+        return PLMap.identity("unit")
     if name in ("a", "b"):
-        pair = dict(zip("ab", thompson_f_pair()))
-        if vals:
-            raise InputError(f"{name} takes no arguments")
-        return pair[name]
+        return dict(zip("ab", thompson_f_pair()))[name]
     if name == "f0":
         return f_big_generator()
     if name == "t":
@@ -80,44 +97,48 @@ def _base_map(name: str, args: str | None) -> PLMap:
     raise InputError(f"unknown generator {name!r}")
 
 
+def _wreath_atom(name: str, args: str | None) -> WreathElement:
+    if name in ("e", "id"):
+        return WreathElement.identity()
+    if name == "t":
+        return WreathElement.shift_by(1)
+    if name == "h0":
+        return WreathElement.lamp_at(0)
+    if name == "h":
+        if not args:
+            raise InputError("h(n) needs a position")
+        return WreathElement.lamp_at(int(args))
+    raise InputError(f"unknown wreath generator {name!r}")
+
+
 def parse_word(text: str) -> PLMap:
     """Words like "a*b^-1", "t(1)*g+(0,2)^-2", "f0"."""
-    out = None
-    for atom in text.split("*"):
-        m = _ATOM.match(atom.strip())
-        if not m:
-            raise InputError(f"cannot parse atom {atom!r}")
-        g = _base_map(m.group("name"), m.group("args"))
-        exp = int(m.group("exp") or 1)
-        g = g ** exp
-        out = g if out is None else out * g
-    if out is None:
-        raise InputError("empty word")
-    return out
+    return _parse_atoms(text, _pl_atom)
 
 
 def parse_wreath_word(text: str) -> WreathElement:
     """Words over t (shift by 1) and h(n) / h0 (unit lamp at n / 0)."""
-    out = WreathElement.identity()
-    for atom in text.split("*"):
-        m = _ATOM.match(atom.strip())
-        if not m:
-            raise InputError(f"cannot parse atom {atom!r}")
-        name, args, exp = m.group("name"), m.group("args"), int(m.group("exp") or 1)
-        if name in ("e", "id"):
-            g = WreathElement.identity()
-        elif name == "t":
-            g = WreathElement.shift_by(1)
-        elif name == "h0":
-            g = WreathElement.lamp_at(0)
-        elif name == "h":
-            if not args:
-                raise InputError("h(n) needs a position")
-            g = WreathElement.lamp_at(int(args))
-        else:
-            raise InputError(f"unknown wreath generator {name!r}")
-        out = out * g ** exp
-    return out
+    return _parse_atoms(text, _wreath_atom)
+
+
+def parse_family_word(text: str, gens: dict):
+    """A word over a generator family, as a frame prints it: each atom is a
+    family generator under its family name (c, or t(1)), e for the
+    family's identity, or else an atom of parse_word (parse_wreath_word for
+    wreath families)."""
+    some = next(iter(gens.values()))
+    identity = some * some.inverse()
+    fallback = _wreath_atom if isinstance(some, WreathElement) else _pl_atom
+
+    def atom(name, args):
+        label = name if args is None else f"{name}({args})"
+        if label in gens:
+            return gens[label]
+        if name in ("e", "id") and not args:
+            return identity
+        return fallback(name, args)
+
+    return _parse_atoms(text, atom)
 
 
 def parse_engine(desc: str):
@@ -175,19 +196,11 @@ _DEFAULT_FAMILY = {"jump": "bs2", "escaping": "thompsonF", "plante": "plante",
                    "prime": "bs2"}
 
 
-def _family_name(args) -> str | None:
-    return args.family or _DEFAULT_FAMILY.get(args.engine.partition(":")[0])
-
-
 def _family_for(args) -> dict:
-    fam = _family_name(args)
+    fam = args.family or _DEFAULT_FAMILY.get(args.engine.partition(":")[0])
     if fam not in _FAMILIES:
         raise InputError(f"unknown family {fam!r}")
     return _FAMILIES[fam]()
-
-
-def _parse_element(args, text: str):
-    return parse_wreath_word(text) if _family_name(args) == "plante" else parse_word(text)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +209,7 @@ def _parse_element(args, text: str):
 
 def cmd_sign(args) -> int:
     engine = parse_engine(args.engine)
-    g = _parse_element(args, args.word)
+    g = parse_family_word(args.word, _family_for(args))
     print(engine.sign(g).name.capitalize())
     return 0
 
@@ -210,11 +223,13 @@ def _frame_radius(args) -> int:
 def cmd_classify(args) -> int:
     radius = _frame_radius(args)
     engine = parse_engine(args.engine)
-    g = _parse_element(args, args.word)
-    frame = build_frame(engine, _family_for(args), radius=radius)
+    gens = _family_for(args)
+    g = parse_family_word(args.word, gens)
+    frame = build_frame(engine, gens, radius=radius)
     emp = classify_empirical(frame, g, power_bound=args.power_bound)
     if isinstance(g, PLMap):
-        pred = classify_predicted(g, args.horograding)
+        # engines without a side (all but jump) are focused at the right end
+        pred = classify_predicted(g, getattr(engine, "side", "right"))
         print(f"predicted: {pred}")
     print(f"empirical: {emp}")
     return 0
@@ -374,25 +389,12 @@ def cmd_plante(args) -> int:
     return 0 if commute and cross_free else 1
 
 
-def _parse_line_word(text: str) -> PLMap:
-    gens = line_generators()
-    out = None
-    for atom in text.split("*"):
-        m = _ATOM.match(atom.strip())
-        if not m or m.group("name") not in gens or m.group("args"):
-            raise InputError(f"okorder words use t and h; got {atom!r}")
-        g = gens[m.group("name")] ** int(m.group("exp") or 1)
-        out = g if out is None else out * g
-    if out is None:
-        raise InputError("empty word")
-    return out
-
-
 def cmd_okorder(args) -> int:
     engine = SymbolicEngine()
-    g = _parse_line_word(args.word)
+    gens = _FAMILIES["line"]()
+    g = parse_family_word(args.word, gens)
     if args.versus:
-        h = _parse_line_word(args.versus)
+        h = parse_family_word(args.versus, gens)
         kg, kh = engine.key(g), engine.key(h)
         print("Greater" if kg > kh else "Less" if kg < kh else "Equal")
     else:
@@ -428,8 +430,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("classify", help="predicted + empirical dynamics")
     common(sp)
     sp.add_argument("--power-bound", type=int, default=8)
-    sp.add_argument("--horograding", default="increasing",
-                    choices=["increasing", "decreasing"])
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("realize", help="emit a sorted orbit frame")

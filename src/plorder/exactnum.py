@@ -32,17 +32,28 @@ class DegenerateSlope(ValueError):
 # Exact rationals: stdlib Fraction + fixed text form
 # ---------------------------------------------------------------------------
 
+MAX_EXPONENT = 1 << 24
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse 'p/q', 'p', or 'n/2^e' (e may be negative) into an exact Fraction."""
+    """Parse 'p/q', 'p', or 'n/2^e' (e may be negative) into an exact Fraction.
+
+    |e| is refused above MAX_EXPONENT before anything is shifted, so text
+    cannot allocate an integer of more than 2^24 bits.
+    """
     text = text.strip()
     try:
         if "/2^" in text:
             num, exp = text.split("/2^")
             n, e = int(num), int(exp)
-            return Fraction(n, 1 << e) if e >= 0 else Fraction(n << -e)
-        return Fraction(text)
-    except (ZeroDivisionError, ValueError) as e:
-        raise ValueError(f"not a rational: {text!r}") from e
+        else:
+            return Fraction(text)
+    except (ZeroDivisionError, ValueError) as err:
+        raise ValueError(f"not a rational: {text!r}") from err
+    if abs(e) > MAX_EXPONENT:
+        raise ValueError(f"exponent {e} in {text!r} exceeds the budget "
+                         f"|e| <= {MAX_EXPONENT}")
+    return Fraction(n, 1 << e) if e >= 0 else Fraction(n << -e)
 
 
 def format_rational(x: Fraction) -> str:
@@ -100,6 +111,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def valuation(r: Fraction, p: int) -> int:
+    """p-adic valuation of a nonzero rational: the exponent of p in r."""
+    if p < 2 or r == 0:
+        raise ValueError("need p >= 2 and a nonzero rational")
+    v = 0
+    for n, step in ((r.numerator, 1), (r.denominator, -1)):
+        while n % p == 0:
+            n //= p
+            v += step
+    return v
+
+
 def exponent_vector(r: Fraction, primes: list[int]) -> list[int]:
     """Prime-exponent vector of r over the given primes.
 
@@ -108,13 +131,16 @@ def exponent_vector(r: Fraction, primes: list[int]) -> list[int]:
     r = Fraction(r)
     if r <= 0:
         raise ValueError("positive rationals only")
-    vec = [0] * len(primes)
-    index = {p: i for i, p in enumerate(primes)}
-    for n, sgn in ((r.numerator, 1), (r.denominator, -1)):
-        for p, e in factorize(n).items():
-            if p not in index:
-                raise NotInGroup(f"prime {p} not available")
-            vec[index[p]] += sgn * e
+    vec = [valuation(r, p) for p in primes]
+    num, den = r.numerator, r.denominator
+    for p, v in zip(primes, vec):
+        if v > 0:
+            num //= p ** v
+        else:
+            den //= p ** -v
+    if num != 1 or den != 1:
+        raise NotInGroup(f"factor {Fraction(num, den)} of {r} not available "
+                         f"over the primes {primes}")
     return vec
 
 
@@ -244,27 +270,13 @@ class LatticePreorder:
 # Module index |A / (lambda - 1) A| for lambda = p/q
 # ---------------------------------------------------------------------------
 
-def _in_submodule(x: Fraction, p: int, q: int) -> bool:
-    """x in (lambda-1)A where A = Z[1/(pq)] and lambda = p/q.
-
-    (lambda-1)A = (p-q)A since q is a unit of A, and membership of a reduced
-    c/d (d | (pq)^m) comes down to (p-q) | c because gcd(p-q, pq) = 1.
-    """
-    d = x.denominator
-    # denominator must divide a power of pq
-    while d > 1:
-        g = math.gcd(d, p * q)
-        if g == 1:
-            return False
-        d //= g
-    return x.numerator % (p - q) == 0
-
-
 def module_index(p: int, q: int) -> int:
-    """|A / I_Lambda A| for lambda = p/q, by brute-force residue enumeration.
+    """|A / I_Lambda A| for lambda = p/q, in closed form: p - q.
 
-    Enumerates residues of a/(pq)^m with doubling bounds until the count of
-    distinct classes stabilizes over two consecutive rounds.
+    With A = Z[1/(pq)], (lambda-1)A = (p-q)A since q is a unit of A.  As
+    gcd(p-q, pq) = 1, a reduced c/d in A (d | (pq)^m) lies in (p-q)A iff
+    (p-q) | c, and d is invertible modulo p-q, so every element of A is
+    congruent to an integer; hence A/(p-q)A = Z/(p-q).
     """
     p, q = int(p), int(q)
     if p == q:
@@ -273,24 +285,4 @@ def module_index(p: int, q: int) -> int:
         raise ValueError("need p > q >= 1")
     if math.gcd(p, q) != 1:
         raise ValueError("need gcd(p, q) = 1")
-
-    def classes(m_bound: int, a_bound: int) -> int:
-        reps: list[Fraction] = []
-        base = p * q
-        for m in range(m_bound + 1):
-            den = base ** m
-            for a in range(a_bound):
-                x = Fraction(a, den)
-                if not any(_in_submodule(x - r, p, q) for r in reps):
-                    reps.append(x)
-        return len(reps)
-
-    m_bound, a_bound = 1, p - q + 1
-    prev = classes(m_bound, a_bound)
-    while True:
-        m_bound += 1
-        a_bound *= 2
-        cur = classes(m_bound, a_bound)
-        if cur == prev:
-            return cur
-        prev = cur
+    return p - q

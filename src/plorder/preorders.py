@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from functools import cmp_to_key
 
-from .exactnum import LatticePreorder, NotInGroup, SlopeGroup, is_prime
+from .exactnum import LatticePreorder, NotInGroup, SlopeGroup, is_prime, valuation
 from .plgroup import PLMap, f_big_generator, tau1
 
 
@@ -225,20 +225,10 @@ class JumpEngine:
 # Prime-jump preorders on PL_Q
 # ---------------------------------------------------------------------------
 
-def _nu(q: int, r: Fraction) -> int:
-    """q-adic valuation of a positive rational."""
-    v = 0
-    for n, step in ((r.numerator, 1), (r.denominator, -1)):
-        while n % q == 0:
-            n //= q
-            v += step
-    return v
-
-
 def _prime_key(g: PLMap, q: int) -> tuple:
     """Profile of nu_q of the left derivative, read from the top; the left
     derivative is constant on each piece's half-open interval."""
-    return _profile_key(g, "right", lambda slope: (_nu(q, slope),))
+    return _profile_key(g, "right", lambda slope: (valuation(slope, q),))
 
 
 def prime_jump_sign(g: PLMap, q: int) -> Sign:

@@ -210,25 +210,31 @@ def classify_empirical(frame: OrbitFrame, g, power_bound: int = 8) -> DynType:
 # Predicted classification from exact germ and fixed-point data
 # ---------------------------------------------------------------------------
 
-def _flip(t: DynType) -> DynType:
-    pairs = {DynType.HOMOTHETY_EXPANDING: DynType.HOMOTHETY_CONTRACTING,
-             DynType.EXPANDING_PSEUDOHOMOTHETY: DynType.CONTRACTING_PSEUDOHOMOTHETY}
-    pairs.update({v: k for k, v in pairs.items()})
-    return pairs.get(t, t)
+def _mirror(g: PLMap) -> PLMap:
+    """r g r for the reflection r: x -> -x (line) or x -> 1 - x (unit); its
+    germ at the right end is g's germ at the left end, turned around."""
+    c = 0 if g.model == "line" else 1
+    return PLMap(g.model, [c - b for b in reversed(g.breakpoints)],
+                 list(reversed(g.slopes)),
+                 [c - c * s - o for s, o in zip(reversed(g.slopes), reversed(g.offsets))])
 
 
-def classify_predicted(g: PLMap, horograding: str = "increasing") -> DynType:
-    """Expected dynamical type of g in the horograded realization.
+def classify_predicted(g: PLMap, side: str = "right") -> DynType:
+    """Expected dynamical type of g in a realization focused at one end.
 
-    The germ at the horograding end decides: trivial germ means
-    TotallyBounded; a germ moving points toward the end is expanding, away
-    is contracting (unit model at 1: slope < 1 expands; line model at
-    +infinity: slope > 1, or slope 1 with positive offset, expands); a
-    pseudohomothety upgrades to a homothety when g has no fixed points in
-    the model (interior fixed points, for the unit model).
+    side is the focal end in JumpEngine.side's terms: "right" is +infinity
+    (line model) or 1 (unit model), "left" is -infinity or 0, read as the
+    right end of the mirror image of g.  The germ at the focal end decides:
+    trivial germ means TotallyBounded; a germ moving points toward the end
+    is expanding, away is contracting (unit model at 1: slope < 1 expands;
+    line model at +infinity: slope > 1, or slope 1 with positive offset,
+    expands); a pseudohomothety upgrades to a homothety when g has no fixed
+    points in the model (interior fixed points, for the unit model).
     """
-    if horograding not in ("increasing", "decreasing"):
-        raise ValueError("horograding must be 'increasing' or 'decreasing'")
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    if side == "left":
+        g = _mirror(g)
     if g.is_identity():
         return DynType.TOTALLY_BOUNDED
     if g.model == "unit":
@@ -240,14 +246,12 @@ def classify_predicted(g: PLMap, horograding: str = "increasing") -> DynType:
         trivial, expanding = s == 1 and c == 0, s > 1 or (s == 1 and c > 0)
         fixed_free = not g.fixed_structure().fixed
     if trivial:
-        out = DynType.TOTALLY_BOUNDED
-    elif expanding:
-        out = (DynType.HOMOTHETY_EXPANDING if fixed_free
-               else DynType.EXPANDING_PSEUDOHOMOTHETY)
-    else:
-        out = (DynType.HOMOTHETY_CONTRACTING if fixed_free
-               else DynType.CONTRACTING_PSEUDOHOMOTHETY)
-    return _flip(out) if horograding == "decreasing" else out
+        return DynType.TOTALLY_BOUNDED
+    if expanding:
+        return (DynType.HOMOTHETY_EXPANDING if fixed_free
+                else DynType.EXPANDING_PSEUDOHOMOTHETY)
+    return (DynType.HOMOTHETY_CONTRACTING if fixed_free
+            else DynType.CONTRACTING_PSEUDOHOMOTHETY)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,18 @@ import json
 
 import pytest
 
-from plorder.cli import main, parse_engine, parse_word, parse_wreath_word
+from plorder.cli import (
+    _DEFAULT_FAMILY,
+    _FAMILIES,
+    main,
+    parse_engine,
+    parse_family_word,
+    parse_word,
+    parse_wreath_word,
+)
 from plorder.plante import WreathElement
 from plorder.plgroup import bs_g_plus, translation
+from plorder.realize import build_frame
 
 
 class TestParsers:
@@ -22,6 +31,8 @@ class TestParsers:
             parse_word("q*z")
         with pytest.raises(InputError):
             parse_word("t(1,2)")
+        with pytest.raises(InputError):
+            parse_word("e(0)")
 
     def test_parse_wreath_word(self):
         w = parse_wreath_word("t^2*h0*t^-1")
@@ -39,6 +50,11 @@ class TestCommands:
     def test_index(self, capsys):
         assert main(["index", "3", "2"]) == 0
         assert capsys.readouterr().out.strip() == "1"
+
+    def test_index_closed_form(self, capsys):
+        # residue enumeration grew quadratically in p - q; the closed form does not
+        assert main(["index", "1000001", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "1000000"
 
     def test_index_rejects_bad_pair(self, capsys):
         assert main(["index", "2", "2"]) == 2
@@ -142,6 +158,14 @@ class TestCommands:
                      "--word", "t(1)"]) == 0
         assert "empirical: Homothety(expanding)" in capsys.readouterr().out
 
+    def test_classify_predicts_at_the_focal_end(self, capsys):
+        # jump:left is focused at -infinity, where t(1) moves points away
+        assert main(["classify", "--engine", "jump:left,lex", "--radius", "4",
+                     "--word", "t(1)"]) == 0
+        assert capsys.readouterr().out == (
+            "predicted: Homothety(contracting)\n"
+            "empirical: Homothety(contracting)\n")
+
 
 # sha256 of `plorder realize --radius 3 --emit csv` per engine, recorded
 # before frames became sorted keys; the frames must not change.
@@ -162,6 +186,23 @@ def test_realize_csv_is_frozen(engine, capsys):
     assert main(["realize", "--engine", engine, "--radius", "3", "--emit", "csv"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_REALIZE_CSV[engine]
+
+
+@pytest.mark.parametrize("engine", sorted(FROZEN_REALIZE_CSV) + ["restriction", "ok"])
+def test_realize_words_parse_back(engine, capsys):
+    # every word a frame prints names an element of that row's coset, and
+    # sign and classify accept it
+    assert main(["realize", "--engine", engine, "--radius", "3", "--emit", "csv"]) == 0
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))[1:]
+    eng = parse_engine(engine)
+    gens = _FAMILIES[_DEFAULT_FAMILY[engine.partition(":")[0]]]()
+    frame = build_frame(eng, gens, radius=3)
+    assert len(rows) == len(frame)
+    for row in rows:
+        assert eng.key(parse_family_word(row[1], gens)) == frame.keys[int(row[0])]
+        assert main(["sign", "--engine", engine, "--word", row[1]]) == 0
+        assert main(["classify", "--engine", engine, "--radius", "3",
+                     "--word", row[1]]) == 0
 
 
 class TestBadInput:
@@ -204,6 +245,19 @@ class TestBadInput:
     def test_combined_engine_is_gone(self, capsys):
         self._rejects(["sign", "--engine", "combined", "--word", "t(1)"], capsys,
                       "unknown engine")
+
+    def test_exponent_over_budget(self, capsys):
+        # the parse alone used to build a 125 MB denominator
+        self._rejects(["sign", "--word", "t(1/2^1000000000)"], capsys,
+                      "exceeds the budget")
+
+    def test_horograding_is_gone(self, capsys):
+        # the focal end belongs to the engine, not to an option
+        with pytest.raises(SystemExit) as e:
+            main(["classify", "--engine", "jump:left,lex", "--word", "t(1)",
+                  "--horograding", "decreasing"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --horograding" in capsys.readouterr().err
 
     def test_jump_rejects_any_slope_outside_two(self, capsys):
         # the outermost jump (slope 2 at 1) alone would read Negative

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from plorder.exactnum import (
     is_prime,
     module_index,
     parse_rational,
+    valuation,
 )
 
 
@@ -38,6 +40,12 @@ class TestRationalIO:
         for text in ("1/0", "x", "1/2^x", "1/2^2/2^3"):
             with pytest.raises(ValueError):
                 parse_rational(text)
+
+    @pytest.mark.parametrize("text", ["1/2^1000000000", "3/2^-16777217"])
+    def test_refuses_exponent_over_budget(self, text):
+        # refused before the shift: 2^1000000000 would be a 125 MB integer
+        with pytest.raises(ValueError, match="exceeds the budget"):
+            parse_rational(text)
 
 
 class TestFactorize:
@@ -100,6 +108,14 @@ class TestSlopeGroup:
                 r = gens[0] ** e1 * gens[1] ** e2
                 assert g.product(g.decompose(r)) == r
 
+    def test_valuation(self):
+        assert valuation(Fraction(12, 5), 2) == 2
+        assert valuation(Fraction(3, 8), 2) == -3
+        assert valuation(Fraction(-25, 3), 5) == 2
+        assert valuation(Fraction(7), 3) == 0
+        with pytest.raises(ValueError):
+            valuation(Fraction(0), 2)
+
     def test_exponent_vector(self):
         assert exponent_vector(Fraction(12), [2, 3]) == [2, 1]
         with pytest.raises(NotInGroup):
@@ -130,8 +146,54 @@ class TestLatticePreorder:
         assert p.sign_of(tuple(-c for c in v)) == -p.sign_of(v)
 
 
+def _in_submodule(x: Fraction, p: int, q: int) -> bool:
+    """x in (lambda-1)A where A = Z[1/(pq)] and lambda = p/q."""
+    d = x.denominator
+    # denominator must divide a power of pq
+    while d > 1:
+        g = math.gcd(d, p * q)
+        if g == 1:
+            return False
+        d //= g
+    return x.numerator % (p - q) == 0
+
+
+def _enumerated_index(p: int, q: int) -> int:
+    """|A / (lambda-1)A| by residue enumeration: classes of a/(pq)^m with
+    doubling bounds until the count is the same over two rounds."""
+    def classes(m_bound: int, a_bound: int) -> int:
+        reps: list[Fraction] = []
+        for m in range(m_bound + 1):
+            den = (p * q) ** m
+            for a in range(a_bound):
+                x = Fraction(a, den)
+                if not any(_in_submodule(x - r, p, q) for r in reps):
+                    reps.append(x)
+        return len(reps)
+
+    m_bound, a_bound = 1, p - q + 1
+    prev = classes(m_bound, a_bound)
+    while True:
+        m_bound += 1
+        a_bound *= 2
+        cur = classes(m_bound, a_bound)
+        if cur == prev:
+            return cur
+        prev = cur
+
+
 class TestModuleIndex:
-    # brute-force enumeration vs the closed form p - q
+    # the closed form p - q against residue enumeration
     @pytest.mark.parametrize("p,q", [(2, 1), (3, 1), (3, 2), (5, 2), (5, 3)])
     def test_closed_form(self, p, q):
-        assert module_index(p, q) == p - q
+        assert module_index(p, q) == _enumerated_index(p, q) == p - q
+
+    def test_matches_enumeration_below_40(self):
+        pairs = [(p, q) for p in range(2, 40) for q in range(1, p)
+                 if math.gcd(p, q) == 1]
+        assert all(module_index(p, q) == _enumerated_index(p, q) for p, q in pairs)
+
+    @pytest.mark.parametrize("p,q", [(2, 2), (1, 2), (4, 2), (3, 0)])
+    def test_rejects_bad_pairs(self, p, q):
+        with pytest.raises(ValueError):
+            module_index(p, q)

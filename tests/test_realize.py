@@ -3,8 +3,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from plorder.cli import parse_engine
 from plorder.plante import CSet, PlanteEngine, WreathElement
-from plorder.plgroup import PLMap, ball, bs_g_plus, f_big_generator, translation
+from plorder.plgroup import (
+    PLMap,
+    ball,
+    bs_g_minus,
+    bs_g_plus,
+    f_big_generator,
+    translation,
+)
+from plorder.preorders import JumpEngine
 from plorder.realize import (
     DynType,
     NoFixedPoint,
@@ -135,12 +144,45 @@ class TestClassifyPredicted:
         w = gp * t * gp.inverse() * t ** -2
         assert classify_predicted(w) == DynType.TOTALLY_BOUNDED
 
-    def test_decreasing_horograding_flips(self, bs_gens):
-        t = bs_gens["t"]
-        assert classify_predicted(t, "decreasing") == \
+    def test_left_side_anchors(self, bs_gens):
+        # the germ at -infinity decides; each verdict is also the r4
+        # empirical one on the left jump engine
+        frame = build_frame(JumpEngine(side="left"), bs_gens, radius=4)
+        for g, expected in [
+                (bs_gens["t"], DynType.HOMOTHETY_CONTRACTING),
+                (bs_gens["g+"], DynType.TOTALLY_BOUNDED),
+                (bs_g_minus(0, 2), DynType.EXPANDING_PSEUDOHOMOTHETY)]:
+            assert classify_predicted(g, "left") == expected
+            assert classify_empirical(frame, g) == expected
+        # unit model: the germ at 0; f0 pushes points away from 0
+        assert classify_predicted(f_big_generator(), "left") == \
             DynType.HOMOTHETY_CONTRACTING
         with pytest.raises(ValueError):
-            classify_predicted(t, "sideways")
+            classify_predicted(bs_gens["t"], "sideways")
+
+
+class TestPredictionSweep:
+    """Every radius-3 word of BS(2) against the frames of the four jump
+    engines: the empirical verdict never contradicts the prediction at the
+    engine's focal end.
+
+    The right engines are swept at r5 only: at r4 their frame does not
+    reach x = 4, the only fixed point of t(1)*t(1)*g+(0,2)^-1 and of
+    g+(0,2)*t(1)^-1*t(1)^-1, and both read opposite to the prediction there.
+    """
+
+    @pytest.mark.parametrize("desc, radius", [
+        ("jump:left,lex", 4), ("jump:left,lex", 5), ("jump:left,opp", 4),
+        ("jump:left,opp", 5), ("jump:right,lex", 5), ("jump:right,opp", 5)])
+    def test_consistent(self, bs_gens, desc, radius):
+        engine = parse_engine(desc)
+        frame = build_frame(engine, bs_gens, radius=radius)
+        words = [(g, w) for g, w in ball(bs_gens, 3).items() if w]
+        assert len(words) == 52
+        bad = [w for g, w in words
+               if not consistent(classify_predicted(g, engine.side),
+                                 classify_empirical(frame, g))]
+        assert bad == []
 
 
 class TestClassifyEmpirical:
