@@ -75,10 +75,15 @@ def _parse_atoms(text: str, atom):
     return out
 
 
-def _pl_atom(name: str, args: str | None) -> PLMap:
-    vals = [parse_rational(s) for s in args.split(",")] if args else []
-    if name in ("e", "id", "a", "b") and vals:
+def _no_arguments(name: str, args: str | None) -> None:
+    if args is not None:
         raise InputError(f"{name} takes no arguments")
+
+
+def _pl_atom(name: str, args: str | None) -> PLMap:
+    if name in ("e", "id", "a", "b", "f0"):
+        _no_arguments(name, args)
+    vals = [parse_rational(s) for s in args.split(",")] if args else []
     if name in ("e", "id"):
         return PLMap.identity("unit")
     if name in ("a", "b"):
@@ -98,6 +103,8 @@ def _pl_atom(name: str, args: str | None) -> PLMap:
 
 
 def _wreath_atom(name: str, args: str | None) -> WreathElement:
+    if name in ("e", "id", "t", "h0"):
+        _no_arguments(name, args)
     if name in ("e", "id"):
         return WreathElement.identity()
     if name == "t":
@@ -134,7 +141,7 @@ def parse_family_word(text: str, gens: dict):
         label = name if args is None else f"{name}({args})"
         if label in gens:
             return gens[label]
-        if name in ("e", "id") and not args:
+        if name in ("e", "id") and args is None:
             return identity
         return fallback(name, args)
 

@@ -14,6 +14,7 @@ planar real tree on which the wreath product acts.
 from __future__ import annotations
 
 from functools import total_ordering
+from operator import add
 
 from .exactnum import LatticePreorder
 from .preorders import Sign
@@ -164,6 +165,31 @@ class PlanteEngine:
             out.append((s, s * x, vals))
         out.append((0,))
         return tuple(out)
+
+    def act(self, w: WreathElement):
+        """k -> key(w x) for k = key(x): w x lights x's lamps moved by
+        w.shift plus w's own lamps, and lamp values add.  Needs a total
+        order, as key does."""
+        own = {s * c: v for s, c, v in self.key(w)[:-1]}
+        shift = w.shift
+        zero = (0,) * len(self.order.rows)
+
+        def act(k: tuple) -> tuple:
+            lamps = dict(own)
+            for s, c, v in k[:-1]:
+                x = s * c + shift
+                u = lamps.get(x)
+                lamps[x] = v if u is None else tuple(map(add, u, v))
+            out = []
+            for x in sorted(lamps, reverse=True):
+                v = lamps[x]
+                if v != zero:
+                    s = 1 if v > zero else -1
+                    out.append((s, s * x, v))
+            out.append((0,))
+            return tuple(out)
+
+        return act
 
     def sign(self, w: WreathElement) -> Sign:
         return plante_sign(w, self.order)

@@ -97,7 +97,8 @@ class PLMap:
         composite or inverse of valid maps): Fractions, positive slopes,
         strictly increasing breakpoints, continuity, and for the unit model
         breakpoints in (0,1) and the endpoints fixed.  Only canonicalization
-        and hashing are done here; every outside input goes through PLMap().
+        is done here (the hash waits for its first use); every outside input
+        goes through PLMap().
         """
         obj = object.__new__(cls)
         obj._fill(model, bps, slopes, offsets)
@@ -116,7 +117,6 @@ class PLMap:
         object.__setattr__(self, "breakpoints", keep_b)
         object.__setattr__(self, "slopes", keep_s)
         object.__setattr__(self, "offsets", keep_o)
-        object.__setattr__(self, "_hash", hash((model, keep_b, keep_s, keep_o)))
 
     def __setattr__(self, *a):
         raise AttributeError("PLMap is immutable")
@@ -237,7 +237,13 @@ class PLMap:
                 and self.offsets == other.offsets)
 
     def __hash__(self):
-        return self._hash
+        # computed on first use: most products are never hashed
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.model, self.breakpoints, self.slopes, self.offsets))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def __repr__(self):
         return f"PLMap.from_text({self.to_text()!r})"

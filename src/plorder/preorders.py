@@ -5,6 +5,8 @@ set is a semigroup, sign(g^-1) = -sign(g), the Residue set is a subgroup,
 and Residue * Positive * Residue stays Positive.  Every engine also gives
 each element g an orbit point key(g) whose order is the preorder:
 key(u) < key(v) iff sign(v^-1 u) is Negative, and equal iff it is Residue.
+The group acts on the orbit points: act(g) is the map key(x) -> key(g x),
+so a realization moves its points without forming the products g x.
 Four constructions are provided: restriction to a discrete invariant set,
 jump cocycles against a lattice preorder, prime jumps for rational-slope
 maps, and escaping orbit sequences for cyclic-germ groups.
@@ -14,8 +16,10 @@ from __future__ import annotations
 
 import enum
 import random
+from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import add
 
 from .exactnum import LatticePreorder, NotInGroup, SlopeGroup, is_prime, valuation
 from .plgroup import PLMap, f_big_generator, tau1
@@ -142,6 +146,11 @@ class RestrictionEngine:
             return 0
         return 1 if u(x) > v(x) else -1
 
+    def act(self, g: PLMap):
+        """k -> key(g x) for k = key(x); the key wraps x itself."""
+        key = self.key
+        return lambda k: key(g * k.obj)
+
     def sign(self, g: PLMap) -> Sign:
         return restriction_sign(g, self.K)
 
@@ -180,6 +189,55 @@ def _profile_key(g: PLMap, side: str, value) -> tuple:
     return tuple(out)
 
 
+def _profile_act(g: PLMap, gkey: tuple, side: str):
+    """k -> the profile key of g x for k = the profile key of x.
+
+    By the chain rule (g x)' = g'(x) x', so for a value additive in the
+    slope the profile of g x at z is g's profile at z plus x's at g^-1(z):
+    x's steps move to their images under g and merge with g's steps.  A
+    step (s, c, v) lies at t = s*c, which is y (right side) or -y (left
+    side), and steps are read in decreasing t.
+    """
+    bps, slopes, offsets = g.breakpoints, g.slopes, g.offsets
+    if side == "right":
+        def push(t):
+            i = bisect_right(bps, t)
+            return slopes[i] * t + offsets[i]
+    else:
+        def push(t):  # t = -y goes to -g(y)
+            i = bisect_right(bps, -t)
+            return slopes[i] * t - offsets[i]
+    gsteps = [(s * c, v) for s, c, v in gkey[1:-1]]
+    ng, g0 = len(gsteps), gkey[0]
+
+    def act(k: tuple) -> tuple:
+        xsteps = [(push(s * c), v) for s, c, v in k[1:-1]]
+        nx = len(xsteps)
+        vg, vx = g0, k[0]
+        prev = tuple(map(add, vg, vx))
+        out = [prev]
+        i = j = 0
+        while i < ng or j < nx:
+            if j == nx or (i < ng and gsteps[i][0] >= xsteps[j][0]):
+                t, vg = gsteps[i]
+                i += 1
+                if j < nx and xsteps[j][0] == t:
+                    vx = xsteps[j][1]
+                    j += 1
+            else:
+                t, vx = xsteps[j]
+                j += 1
+            v = tuple(map(add, vg, vx))
+            if v != prev:
+                s = 1 if v > prev else -1
+                out.append((s, s * t, v))
+                prev = v
+        out.append((0,))
+        return tuple(out)
+
+    return act
+
+
 def _key_sign(key: tuple) -> Sign:
     """Sign of g from its profile key: the identity's key is (0-value, (0,))."""
     ident = ((0,) * len(key[0]), (0,))
@@ -195,7 +253,9 @@ def jump_sign(g: PLMap, side: str = "right",
 
 class JumpEngine:
     """Jump preorder; by default on <2> with the lexicographic order.  The
-    key values a slope by the row values of slope / outer slope."""
+    key values a slope by the row values of slope / outer slope, memoised
+    per engine by that ratio (a ratio outside the group raises and is not
+    stored)."""
 
     def __init__(self, side: str = "right",
                  group: SlopeGroup | None = None,
@@ -203,16 +263,25 @@ class JumpEngine:
         self.side = side
         self.group = group or SlopeGroup([2])
         self.order = order or LatticePreorder.lex(self.group.rank)
+        self._values = {}
 
     def _value(self, ratio) -> tuple[int, ...]:
-        try:
-            return self.order.values(self.group.decompose(ratio))
-        except NotInGroup as e:
-            raise SlopeNotInGroup(str(e)) from None
+        v = self._values.get(ratio)
+        if v is None:
+            try:
+                v = self.order.values(self.group.decompose(ratio))
+            except NotInGroup as e:
+                raise SlopeNotInGroup(str(e)) from None
+            self._values[ratio] = v
+        return v
 
     def key(self, g: PLMap) -> tuple:
         outer = g.slopes[-1] if self.side == "right" else g.slopes[0]
         return _profile_key(g, self.side, lambda slope: self._value(slope / outer))
+
+    def act(self, g: PLMap):
+        """k -> key(g x) for k = key(x), by the chain rule."""
+        return _profile_act(g, self.key(g), self.side)
 
     def sign(self, g: PLMap) -> Sign:
         return _key_sign(self.key(g))
@@ -246,6 +315,10 @@ class PrimeJumpEngine:
 
     def key(self, g: PLMap) -> tuple:
         return _prime_key(g, self.q)
+
+    def act(self, g: PLMap):
+        """k -> key(g x) for k = key(x); nu_q is additive in the slope."""
+        return _profile_act(g, self.key(g), "right")
 
     def sign(self, g: PLMap) -> Sign:
         return prime_jump_sign(g, self.q)
@@ -323,6 +396,11 @@ class EscapingEngine:
 
     def key(self, g: PLMap):
         return self._key(self._bounds(g))
+
+    def act(self, g: PLMap):
+        """k -> key(g x) for k = key(x); the key wraps (x, ...)."""
+        key = self.key
+        return lambda k: key(g * k.obj[0])
 
     def sign(self, g: PLMap) -> Sign:
         return Sign(self._compare(self._bounds(g), self._identity))

@@ -1,10 +1,11 @@
 """Finite-scale dynamical realizations of preorder engines.
 
 A frame is the radius-L ball of the group as sorted, deduplicated engine
-keys (one key per residue coset, i.e. per orbit point).  Elements act on
-the frame by left multiplication; classify_empirical reads off the
-dynamical type of an element from the trajectories of the frame extremes,
-and classify_predicted derives the expected type from exact germ data.
+keys (one key per residue coset, i.e. per orbit point).  An element g acts
+on the frame's orbit points through engine.act(g), which maps key(x) to
+key(g x) without forming g x; classify_empirical reads off the dynamical
+type of g from the trajectories of the frame extremes, and
+classify_predicted derives the expected type from exact germ data.
 """
 
 from __future__ import annotations
@@ -72,8 +73,11 @@ class OrbitFrame:
         return _cmp(self.engine.key(u), self.engine.key(v))
 
     def locate(self, x) -> tuple[int, bool]:
+        """(insertion index, found) of x's orbit point."""
+        return self.locate_key(self.engine.key(x))
+
+    def locate_key(self, k) -> tuple[int, bool]:
         """(insertion index, found): binary search on the keys."""
-        k = self.engine.key(x)
         i = bisect_left(self.keys, k)
         return i, i < len(self.keys) and self.keys[i] == k
 
@@ -111,10 +115,11 @@ def build_frame(engine, generators: dict, basepoint=None, radius: int = 3) -> Or
 def induced_map(frame: OrbitFrame, g) -> dict[int, int]:
     """Partial self-map of frame indices: i -> j when g . points[i] lands on
     a frame coset; strictly monotone where defined."""
+    act = frame.engine.act(g)
     out = {}
-    for i, x in enumerate(frame.points):
-        j = frame.index_of(g * x)
-        if j is not None:
+    for i, k in enumerate(frame.keys):
+        j, found = frame.locate_key(act(k))
+        if found:
             out[i] = j
     return out
 
@@ -130,20 +135,19 @@ def _sample_indices(n: int, budget: int = 48) -> list[int]:
     return sorted({round(i * step) for i in range(budget)})
 
 
-def _escape(frame: OrbitFrame, g, i: int, power_bound: int) -> str:
-    """'up'/'down' when the orbit of points[i] leaves the frame span, else
-    'bounded' (includes reaching a fixed coset).
+def _escape(frame: OrbitFrame, act, i: int, power_bound: int) -> str:
+    """'up'/'down' when the orbit of points[i] under act (an engine's
+    act(g)) leaves the frame span, else 'bounded' (includes reaching a
+    fixed coset).
 
     Escape is relative to the frame: an orbit that is bounded in the full
     order but overshoots the deepest ball elements still reads as escaping
     at this radius.
     """
-    key = frame.engine.key
     lo, hi = frame.keys[0], frame.keys[-1]
-    y, ky = frame.points[i], frame.keys[i]
+    ky = frame.keys[i]
     for _ in range(power_bound):
-        y = g * y
-        kz = key(y)
+        kz = act(ky)
         if kz == ky:
             return "bounded"
         ky = kz
@@ -165,25 +169,25 @@ def classify_empirical(frame: OrbitFrame, g, power_bound: int = 8) -> DynType:
     the direction pattern with exactly one fixed coset upgrades a
     pseudohomothety to a homothety.  Anything else is Inconclusive.
     """
-    key, points, keys = frame.engine.key, frame.points, frame.keys
-    n = len(points)
+    engine, keys = frame.engine, frame.keys
+    act = engine.act(g)
+    n = len(keys)
     idx = _sample_indices(n)
-    dirs = [_cmp(key(g * points[i]), keys[i]) for i in idx]
+    dirs = [_cmp(act(keys[i]), keys[i]) for i in idx]
     if dirs[0] == 0 and dirs[-1] == 0:
         # the extremes are fixed cosets, so every orbit stays between them
         return DynType.TOTALLY_BOUNDED
+    back = engine.act(g.inverse())
     if len({d for d in dirs if d != 0}) == 1:
         # one-sided drift: bounded iff interior orbits stay inside the span
-        ginv = g.inverse()
         interior = {n // 4, n // 2, (3 * n) // 4}
         if all(_escape(frame, h, i, power_bound) == "bounded"
-               for i in interior for h in (g, ginv)):
+               for i in interior for h in (act, back)):
             return DynType.TOTALLY_BOUNDED
         return DynType.INCONCLUSIVE
 
-    ginv = g.inverse()
-    fwd = _escape(frame, g, n - 1, power_bound)
-    bwd = _escape(frame, ginv, n - 1, power_bound)
+    fwd = _escape(frame, act, n - 1, power_bound)
+    bwd = _escape(frame, back, n - 1, power_bound)
     if fwd == "up" and bwd != "up":
         expanding = True
     elif bwd == "up" and fwd != "up":
@@ -198,7 +202,7 @@ def classify_empirical(frame: OrbitFrame, g, power_bound: int = 8) -> DynType:
         sgn = -1 if expanding else 1
         a = max(i for i, d in zip(idx, dirs) if d == sgn)
         b = min(i for i, d in zip(idx, dirs) if d == -sgn)
-        fixed = sum(1 for i in range(a, b + 1) if key(g * points[i]) == keys[i])
+        fixed = sum(1 for i in range(a, b + 1) if act(keys[i]) == keys[i])
     if expanding:
         return (DynType.HOMOTHETY_EXPANDING if fixed == 1
                 else DynType.EXPANDING_PSEUDOHOMOTHETY)
@@ -290,26 +294,25 @@ def homothety_witness(engine, g, test_points, fixed_point=None,
     is returned if there is none.
     """
     pts = list(test_points)
-    key = engine.key
-    keys = [key(x) for x in pts]
+    keys = [engine.key(x) for x in pts]
+    act = engine.act(g)
     if fixed_point is not None:
-        center = key(fixed_point)
-        if key(g * fixed_point) != center:
+        center = engine.key(fixed_point)
+        if act(center) != center:
             raise NoFixedPoint("g does not fix the designated point")
     else:
-        center = next((k for x, k in zip(pts, keys) if key(g * x) == k), None)
+        center = next((k for k in keys if act(k) == k), None)
         if center is None:
             return False
 
-    def escapes(h) -> bool:
+    def escapes(h_act) -> bool:
         for x, kx in zip(pts, keys):
             side = _cmp(kx, center)
             if side == 0:
                 continue
-            y = x
+            ky = kx
             for _ in range(max_power):
-                y = h * y
-                ky = key(y)
+                ky = h_act(ky)
                 if all(_cmp(ky, kp) == side
                        for p, kp in zip(pts, keys) if p is not x):
                     break
@@ -317,4 +320,4 @@ def homothety_witness(engine, g, test_points, fixed_point=None,
                 return False
         return True
 
-    return escapes(g) or escapes(g.inverse())
+    return escapes(act) or escapes(engine.act(g.inverse()))

@@ -416,6 +416,10 @@ class SymbolicEngine:
     def key(self, g: PLMap):
         return _ok_key(self.base.image(g))
 
+    def act(self, g: PLMap):
+        """k -> key(g x) for k = key(x): g x (K) is the image of x(K)."""
+        return lambda k: _ok_key(k.obj.image(g))
+
     def sign(self, g: PLMap) -> Sign:
         return Sign(ok_compare(self.base.image(g), self.base))
 

@@ -263,3 +263,21 @@ class TestBadInput:
         # the outermost jump (slope 2 at 1) alone would read Negative
         self._rejects(["sign", "--word", "g+(0,3)*g+(1,2)"], capsys,
                       "not available")
+
+    # atoms that take no arguments used to drop any they were given
+    def test_f0_takes_no_arguments(self, capsys):
+        self._rejects(["sign", "--engine", "escaping", "--word", "f0(7,8)"], capsys,
+                      "f0 takes no arguments")
+
+    def test_e_takes_no_arguments(self, capsys):
+        self._rejects(["sign", "--word", "e(5)"], capsys, "e takes no arguments")
+
+    def test_id_takes_no_arguments(self, capsys):
+        self._rejects(["plante", "--word", "id(1)*t"], capsys, "id takes no arguments")
+
+    def test_wreath_t_takes_no_arguments(self, capsys):
+        # t(5) read as a shift by 1
+        self._rejects(["plante", "--word", "t(5)"], capsys, "t takes no arguments")
+
+    def test_h0_takes_no_arguments(self, capsys):
+        self._rejects(["plante", "--word", "h0(3)"], capsys, "h0 takes no arguments")

@@ -9,6 +9,7 @@ as the slow path that the merge must agree with exactly.
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, strategies as st
 
 from plorder.plgroup import PLMap, ball, bs_g_plus, thompson_f_pair, translation
@@ -114,6 +115,19 @@ class TestMergeProperties:
             assert validated == m and hash(validated) == hash(m)
 
     @given(same_model(2))
+    def test_lazy_hash_is_the_hash_of_equal_maps(self, fg):
+        # the hash is computed on first use, so maps built by the validating
+        # constructor, by _trusted products and by inverse() must still agree
+        f, g = fg
+        fg_map = f * g
+        built = PLMap(fg_map.model, fg_map.breakpoints, fg_map.slopes, fg_map.offsets)
+        via_inverses = (g.inverse() * f.inverse()).inverse()
+        assert built == fg_map == via_inverses
+        assert hash(built) == hash(fg_map) == hash(via_inverses)
+        assert hash(fg_map) == hash(fg_map)
+        assert len({built, fg_map, via_inverses}) == 1
+
+    @given(same_model(2))
     def test_matches_sample_oracle(self, fg):
         f, g = fg
         assert f * g == sample_compose(f, g)
@@ -152,3 +166,13 @@ def test_oracle_on_f_ball_radius5():
             pairs += [(g, h), (h, g)]
     _assert_same_products(pairs)
     assert all(g.inverse() == sample_inverse(g) for g in elements)
+
+
+def test_lazy_hash_keeps_maps_immutable():
+    g = translation(1) * bs_g_plus(0, 2)
+    h = hash(g)
+    assert hash(g) == h and {g: 1}[bs_g_plus(1, 2) * translation(1)] == 1
+    for attr in ("slopes", "_hash"):
+        with pytest.raises(AttributeError):
+            setattr(g, attr, None)
+    assert hash(g) == h

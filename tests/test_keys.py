@@ -3,15 +3,21 @@
 The reference signs below are the slow paths: each compares u with v by
 forming v^-1 u and scanning it.  For every engine, the key order must be
 that sign: key(u) < key(v) iff sign(v^-1 u) is Negative, equal iff Residue.
+The action on orbit points has its own oracle: act(g)(key(x)) must be
+key(g * x), the key of the product that act avoids forming.
 """
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 import pytest
+from hypothesis import given, strategies as st
 
-from plorder.plante import plante_sign
-from plorder.plgroup import ball, bs_g_plus, tau1
+from plorder.exactnum import LatticePreorder
+from plorder.plante import PlanteEngine, WreathElement, plante_sign
+from plorder.plgroup import PLMap, ball, bs_g, bs_g_plus, tau1, translation
 from plorder.preorders import (
     EscapingEngine,
     JumpEngine,
@@ -180,3 +186,95 @@ def test_jump_keys_reject_slopes_outside_the_group():
     for side in ("right", "left"):
         with pytest.raises(SlopeNotInGroup):
             JumpEngine(side=side).key(g)
+
+
+def test_jump_memo_keeps_ratios_not_slopes():
+    # slopes 3 and 6 lie outside <2>, but their ratio 1/2 does not
+    g = bs_g(0, 3) * bs_g_plus(0, 2)
+    engine = JumpEngine(side="right")
+    engine.key(bs_g_plus(0, 2))  # warm the memo
+    assert engine.sign(g) is Sign.NEGATIVE
+    assert engine.sign(g) is Sign.NEGATIVE
+    assert set(engine._values) == {1, Fraction(1, 2)}
+
+
+def _in_two(ratio):
+    return all(n & (n - 1) == 0 for n in (ratio.numerator, ratio.denominator))
+
+
+def test_jump_memo_refuses_slopes_outside_the_group_every_time():
+    # slopes 1, 3, 6: the ratio 1/6 (right) or 3 (left) is outside <2>
+    bad = bs_g_plus(0, 3) * bs_g_plus(1, 2)
+    for side in ("right", "left"):
+        engine = JumpEngine(side=side)
+        engine.key(bs_g_plus(0, 2) * bs_g_plus(1, 2) ** -1)  # a warm memo
+        for _ in range(2):  # a failed lookup leaves nothing behind
+            with pytest.raises(SlopeNotInGroup):
+                engine.key(bad)
+            with pytest.raises(SlopeNotInGroup):
+                engine.act(bad)
+            with pytest.raises(SlopeNotInGroup):
+                engine._value(Fraction(3))
+        assert all(_in_two(ratio) for ratio in engine._values)
+        good = bs_g_plus(0, 2) * bs_g(1, 4)
+        assert engine.key(good) == JumpEngine(side=side).key(good)
+
+
+# ---------------------------------------------------------------------------
+# The action on orbit points: act(g)(key(x)) == key(g * x)
+# ---------------------------------------------------------------------------
+
+ACT_PAIRS = 1000
+ACT_TRIPLES = 200
+
+
+@pytest.fixture(scope="module")
+def act_cases(cases, balls5):
+    out = dict(cases)
+    out["plante:opp"] = (PlanteEngine(order=LatticePreorder([(-1,)])), balls5["plante"])
+    return out
+
+
+def _identity(pool):
+    some = pool[0]
+    return some * some.inverse()
+
+
+@pytest.mark.parametrize("name", CASE_NAMES + ["plante:opp"])
+def test_act_is_key_of_product(act_cases, name):
+    engine, pool = act_cases[name]
+    rng = random.Random(f"act/{name}")
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(ACT_PAIRS)]
+    e = _identity(pool)
+    pairs += [(e, x) for x in rng.sample(pool, 20)]
+    pairs += [(g, g.inverse()) for g in rng.sample(pool, 20)]
+    for g, x in pairs:
+        assert engine.act(g)(engine.key(x)) == engine.key(g * x), (g, x)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES + ["plante:opp"])
+def test_act_is_an_action(act_cases, name):
+    engine, pool = act_cases[name]
+    rng = random.Random(f"act-law/{name}")
+    for _ in range(ACT_TRIPLES):
+        g, h, x = (rng.choice(pool) for _ in range(3))
+        k = engine.key(x)
+        assert engine.act(g)(engine.act(h)(k)) == engine.act(g * h)(k), (g, h, x)
+
+
+_BS2_ATOMS = [translation(1), bs_g_plus(0, 2), translation(-1), bs_g_plus(0, 2) ** -1,
+              bs_g_plus(1, 2), translation(Fraction(1, 2))]
+bs2_words = st.lists(st.sampled_from(_BS2_ATOMS), max_size=7).map(
+    lambda atoms: reduce(mul, atoms, PLMap.identity("line")))
+
+
+_JUMP_ENGINES = [JumpEngine(side="right"), JumpEngine(side="left"),
+                 JumpEngine(side="right", order=LatticePreorder([(-1,)])),
+                 JumpEngine(side="left", order=LatticePreorder([(-1,)])),
+                 PrimeJumpEngine(2)]
+
+
+@given(bs2_words, bs2_words)
+def test_act_on_random_bs2_words(g, x):
+    for engine in _JUMP_ENGINES:
+        assert engine.act(g)(engine.key(x)) == engine.key(g * x)
