@@ -204,9 +204,14 @@ _DEFAULT_FAMILY = {"jump": "bs2", "escaping": "thompsonF", "plante": "plante",
 
 
 def _family_for(args) -> dict:
-    fam = args.family or _DEFAULT_FAMILY.get(args.engine.partition(":")[0])
+    """The engine's generator family: the plante engine acts on the wreath
+    family, every other engine on a family of PLMaps."""
+    engine = args.engine.partition(":")[0]
+    fam = args.family or _DEFAULT_FAMILY.get(engine)
     if fam not in _FAMILIES:
         raise InputError(f"unknown family {fam!r}")
+    if (engine == "plante") != (fam == "plante"):
+        raise InputError(f"engine {args.engine!r} does not act on the {fam} family")
     return _FAMILIES[fam]()
 
 

@@ -195,7 +195,7 @@ class PlanteEngine:
         return plante_sign(w, self.order)
 
     def __repr__(self):
-        return f"PlanteEngine(k={self.k})"
+        return f"PlanteEngine(k={self.k}, order={self.order!r})"
 
 
 # ---------------------------------------------------------------------------

@@ -91,17 +91,17 @@ class PLMap:
 
     @classmethod
     def _trusted(cls, model: str, bps: list, slopes: list, offsets: list) -> "PLMap":
-        """Build a map from pieces without validating them.
+        """Build a map from canonical pieces without validating them.
 
-        Invariant: the callers pass the pieces of an already-valid map (the
-        composite or inverse of valid maps): Fractions, positive slopes,
-        strictly increasing breakpoints, continuity, and for the unit model
-        breakpoints in (0,1) and the endpoints fixed.  Only canonicalization
-        is done here (the hash waits for its first use); every outside input
-        goes through PLMap().
+        Invariant: the callers pass the pieces of an already-valid map in
+        canonical form (the composite or inverse of valid maps): Fractions,
+        positive slopes, strictly increasing breakpoints, continuity, no
+        breakpoint between two equal pieces, and for the unit model
+        breakpoints in (0,1) and the endpoints fixed.  The hash waits for
+        its first use; every outside input goes through PLMap().
         """
         obj = object.__new__(cls)
-        obj._fill(model, bps, slopes, offsets)
+        obj._set(model, tuple(bps), tuple(slopes), tuple(offsets))
         return obj
 
     def _fill(self, model, bps, slopes, offsets):
@@ -112,11 +112,13 @@ class PLMap:
                 keep_b.append(b)
                 keep_s.append(s)
                 keep_o.append(o)
-        keep_b, keep_s, keep_o = tuple(keep_b), tuple(keep_s), tuple(keep_o)
+        self._set(model, tuple(keep_b), tuple(keep_s), tuple(keep_o))
+
+    def _set(self, model, bps: tuple, slopes: tuple, offsets: tuple):
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "breakpoints", keep_b)
-        object.__setattr__(self, "slopes", keep_s)
-        object.__setattr__(self, "offsets", keep_o)
+        object.__setattr__(self, "breakpoints", bps)
+        object.__setattr__(self, "slopes", slopes)
+        object.__setattr__(self, "offsets", offsets)
 
     def __setattr__(self, *a):
         raise AttributeError("PLMap is immutable")
@@ -173,10 +175,19 @@ class PLMap:
 
     # -- group law ----------------------------------------------------------
 
+    # The group law works on numerator/denominator pairs: each input
+    # Fraction is read once, comparisons cross-multiply (denominators stay
+    # positive), and each output is one Fraction(n, d).
+
     def inverse(self) -> "PLMap":
-        bps = [s * b + o for b, s, o in zip(self.breakpoints, self.slopes, self.offsets)]
-        slopes = [1 / s for s in self.slopes]
-        offsets = [-o / s for s, o in zip(self.slopes, self.offsets)]
+        """x -> (x - o)/s on the image s*b + o of each piece of the map."""
+        pieces = [(s.numerator, s.denominator, o.numerator, o.denominator)
+                  for s, o in zip(self.slopes, self.offsets)]
+        bps = [Fraction(sn * b.numerator * od + on * sd * b.denominator,
+                        sd * b.denominator * od)
+               for b, (sn, sd, on, od) in zip(self.breakpoints, pieces)]
+        slopes = [Fraction(sd, sn) for sn, sd, _, _ in pieces]
+        offsets = [Fraction(-on * sd, od * sn) for sn, sd, on, od in pieces]
         return PLMap._trusted(self.model, bps, slopes, offsets)
 
     def __mul__(self, other: "PLMap") -> "PLMap":
@@ -185,34 +196,52 @@ class PLMap:
         Walk g's pieces x -> a*x + c from left to right.  Inside each piece,
         every breakpoint b of f strictly inside the piece's image gives a
         breakpoint (b - c)/a of the product; between consecutive breakpoints
-        the product is f's piece (fs, fo) after g's, i.e. slope fs*a and
-        offset fs*c + fo.  No inverse is built and no point is evaluated.
+        the product is f's piece (s, o) after g's, i.e. slope s*a and
+        offset s*c + o.  A piece equal to the one before it is merged into
+        it on the spot, so the result is canonical.  No inverse is built
+        and no point is evaluated.
         """
         if not isinstance(other, PLMap):
             return NotImplemented
         if self.model != other.model:
             raise ModelMismatch(f"{self.model} vs {other.model}")
-        fb, fs, fo = self.breakpoints, self.slopes, self.offsets
-        gb = other.breakpoints
+        fb = [(b.numerator, b.denominator) for b in self.breakpoints]
+        fp = [(s.numerator, s.denominator, o.numerator, o.denominator)
+              for s, o in zip(self.slopes, self.offsets)]
+        gbps = other.breakpoints
+        gb = [(b.numerator, b.denominator) for b in gbps]
         nf, ng = len(fb), len(gb)
         bps, slopes, offsets = [], [], []
+        ln = ld = lon = lod = 0  # the last piece kept
+        cut = None  # the breakpoint before the next piece: a Fraction or (n, d)
         j = 0  # f's piece at the image of the current point
         for i, (a, c) in enumerate(zip(other.slopes, other.offsets)):
-            # image of the piece's right end; the last piece reaches the end
-            # of the domain, which no breakpoint of f lies beyond
-            top = a * gb[i] + c if i < ng else None
-            while j < nf and (top is None or fb[j] < top):
-                s = fs[j]
-                slopes.append(s * a)
-                offsets.append(s * c + fo[j])
-                bps.append((fb[j] - c) / a)
-                j += 1
-            s = fs[j]
-            slopes.append(s * a)
-            offsets.append(s * c + fo[j])
-            if top is not None:
-                bps.append(gb[i])
-                if j < nf and fb[j] == top:
+            an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+            if i < ng:
+                # image of the piece's right end; the last piece reaches the
+                # end of the domain, which no breakpoint of f lies beyond
+                bn, bd = gb[i]
+                tn, td = an * bn * cd + cn * ad * bd, ad * bd * cd
+            while True:
+                sn, sd, on, od = fp[j]
+                pn, pd = sn * an, sd * ad
+                qn, qd = sn * cn * od + on * sd * cd, sd * cd * od
+                if cut is None or pn * ld != ln * pd or qn * lod != lon * qd:
+                    if cut is not None:
+                        bps.append(Fraction(*cut) if isinstance(cut, tuple) else cut)
+                    slopes.append(Fraction(pn, pd))
+                    offsets.append(Fraction(qn, qd))
+                    ln, ld, lon, lod = pn, pd, qn, qd
+                if j < nf:
+                    xn, xd = fb[j]
+                    if i == ng or xn * td < tn * xd:
+                        cut = ((xn * cd - cn * xd) * ad, xd * cd * an)
+                        j += 1
+                        continue
+                break
+            if i < ng:
+                cut = gbps[i]
+                if j < nf and fb[j][0] * td == tn * fb[j][1]:
                     j += 1
         return PLMap._trusted(self.model, bps, slopes, offsets)
 
@@ -544,30 +573,48 @@ def cross_free(intervals) -> bool:
 # ---------------------------------------------------------------------------
 
 def ball(generators: dict, radius: int, identity=None) -> dict:
-    """Elements of the ball of the given radius, as {element: shortest word}.
+    """Elements of the ball of the given radius, as {element: word}.
 
     generators: {name: element}; inverses are added automatically with
-    names suffixed by "^-1".  Words are "*"-joined generator names.
+    names suffixed by "^-1" (none for an involution), right after their
+    generator.  Breadth-first search multiplies each element of the last
+    sphere on the right by every generator in that order, and an element
+    gets the word of the first product that reaches it: its parent's word,
+    "*", and the generator's name.  So words have the fewest generators,
+    but not always the fewest characters.  A product by the generator that
+    undoes the one an element was reached by is skipped: x * g * g^-1 = x
+    is already seen.
     """
-    gens = {}
+    gens, pairs = {}, []
     for name, el in generators.items():
         gens[name] = el
         inv = el.inverse()
         if inv != el:
             gens[f"{name}^-1"] = inv
+            pairs.append((name, el, f"{name}^-1", inv))
+        else:
+            pairs.append((name, el, name, el))
+    # the undoer of each name, by construction; a later generator named like
+    # an inverse ("x^-1") takes over that name, and then x keeps none
+    undo = {}
+    for name, el, inv_name, inv in pairs:
+        if gens[name] is el and gens[inv_name] is inv:
+            undo[name], undo[inv_name] = inv_name, name
     if identity is None:
         some = next(iter(generators.values()))
         identity = some * some.inverse()
     seen = {identity: ""}
-    frontier = [identity]
+    frontier = [(identity, "", None)]
     for _ in range(radius):
         new = []
-        for el in frontier:
+        for el, word, back in frontier:
+            prefix = word + "*" if word else ""
             for name, gen in gens.items():
+                if name == back:
+                    continue
                 cand = el * gen
                 if cand not in seen:
-                    word = name if seen[el] == "" else seen[el] + "*" + name
-                    seen[cand] = word
-                    new.append(cand)
+                    seen[cand] = cand_word = prefix + name
+                    new.append((cand, cand_word, undo.get(name)))
         frontier = new
     return seen

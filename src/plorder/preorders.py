@@ -22,7 +22,7 @@ from functools import cmp_to_key
 from operator import add
 
 from .exactnum import LatticePreorder, NotInGroup, SlopeGroup, is_prime, valuation
-from .plgroup import PLMap, f_big_generator, tau1
+from .plgroup import ModelMismatch, PLMap, f_big_generator, tau1
 
 
 class Sign(enum.Enum):
@@ -287,7 +287,8 @@ class JumpEngine:
         return _key_sign(self.key(g))
 
     def __repr__(self):
-        return f"JumpEngine(side={self.side!r}, group={self.group!r})"
+        return (f"JumpEngine(side={self.side!r}, group={self.group!r}, "
+                f"order={self.order!r})")
 
 
 # ---------------------------------------------------------------------------
@@ -375,7 +376,11 @@ class EscapingEngine:
 
     def _bounds(self, g: PLMap):
         """(g, tau1(g), hi, lo): the entry of g is s_n for every n >= hi, and
-        for n <= lo its orbit point lies below every breakpoint."""
+        for n <= lo its orbit point lies below every breakpoint.  The scan
+        for lo only ends for unit-interval maps, whose breakpoints lie in
+        (0, 1)."""
+        if g.model != "unit":
+            raise ModelMismatch("unit-interval maps only")
         s, t = self.ctx.s, tau1(g)
         bps = g.breakpoints + self.ctx.f0.breakpoints
         hi = lo = 0

@@ -95,14 +95,37 @@ class OrbitFrame:
 def build_frame(engine, generators: dict, basepoint=None, radius: int = 3) -> OrbitFrame:
     """Radius-L ball deduplicated into cosets and sorted by the engine's keys.
 
-    Deterministic: ball elements are ordered by (word length, word) and
-    stably sorted by key, and the first representative of each coset
-    (hence a shortest word) is kept.
+    Deterministic: ball elements (each with ball's word, the first one
+    breadth-first search finds) are ordered by (word length, word) and
+    stably sorted by key, and each coset keeps its first element, so the
+    word with the fewest characters, ties broken by string order.
+
+    Keys are computed in that (length, word) order.  A generator h with
+    key(h) = key(basepoint) fixes the basepoint's orbit point, so
+    key(x h) = act(x)(key(h)) = key(x): an element reached from its
+    parent by such a generator gets the parent's key object.  The parent
+    is read off the word (ball appends "*" and one generator name), so
+    every element is keyed when a generator name contains "*".
     """
     elements = ball(generators, radius, identity=basepoint)
     items = sorted(elements.items(), key=lambda kv: (len(kv[1]), kv[1]))
-    keyed = sorted(((engine.key(el), el, word) for el, word in items),
-                   key=itemgetter(0))
+    inherit = all(name and "*" not in name for name in generators)
+    key_of = {}  # word -> key
+    fixes = {}   # generator name -> whether it fixes the basepoint's key
+    for el, word in items:
+        parent, star, name = word.rpartition("*")
+        if fixes.get(name):
+            key_of[word] = key_of[parent]
+            continue
+        k = key_of[word] = engine.key(el)
+        if inherit and word and not star:
+            try:
+                fixes[name] = k == key_of[""]
+            except ValueError:
+                # incomparable keys: the sort below raises as it would
+                # without inheritance
+                fixes[name] = False
+    keyed = sorted(((key_of[word], el, word) for el, word in items), key=itemgetter(0))
     points, words, keys = [], {}, []
     for k, el, word in keyed:
         if not keys or keys[-1] != k:

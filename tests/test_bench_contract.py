@@ -1,13 +1,16 @@
 """The benchmark's tracer wraps library names from outside; installing and
 removing it must keep working as the library changes.
 
-Runs no benchmark jobs: it only patches and unpatches.
+Runs no benchmark jobs: it patches and unpatches, and traces one frame
+build.
 """
 
 import importlib.util
 from pathlib import Path
 
-from plorder.plgroup import PLMap
+from plorder import realize
+from plorder.plgroup import PLMap, bs_g_plus, translation
+from plorder.preorders import JumpEngine
 
 _TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -32,3 +35,22 @@ def test_tracer_installs_and_unpatches():
         tracer.unpatch()
     assert PLMap.__dict__["__mul__"] is original_mul
     assert all(owner.__dict__[attr] is original for owner, attr, original in patched)
+
+
+def test_frame_balls_are_traced_under_build_frame():
+    # the per-layer metrics (plgroup.ball.new_ratio, build_frame self time)
+    # read the ball a frame build makes as a child span of the build
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        realize.build_frame(JumpEngine(), {"t(1)": translation(1),
+                                           "g+(0,2)": bs_g_plus(0, 2)}, radius=3)
+    finally:
+        tracer.unpatch()
+    spans = tracer.dump()["spans"]
+    balls = [s for s in spans if s["name"] == "plgroup.ball"]
+    assert len(balls) == 1
+    assert spans[balls[0]["parent"]]["name"] == "realize.build_frame"
+    assert tracer.counts["plgroup.ball.kept"] == 52
+    products = tracer.agg[("plgroup.mul", "plgroup.ball")][0]
+    assert tracer.metrics()["plgroup.ball.new_ratio"]["value"] == 52 / products

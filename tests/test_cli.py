@@ -1,6 +1,11 @@
 import csv
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +49,13 @@ class TestParsers:
         assert "JumpEngine" in repr(parse_engine("jump:left,opp"))
         assert "PrimeJumpEngine" in repr(parse_engine("prime:3"))
         assert "EscapingEngine" in repr(parse_engine("escaping:1/2"))
+
+    def test_reprs_name_the_order(self):
+        # two realizations with different orders must not print alike
+        lex, opp = parse_engine("jump:right,lex"), parse_engine("jump:right,opp")
+        assert repr(lex) != repr(opp)
+        assert "order=LatticePreorder([(-1,)])" in repr(opp)
+        assert "order=LatticePreorder([(1,)])" in repr(parse_engine("plante"))
 
 
 class TestCommands:
@@ -281,3 +293,47 @@ class TestBadInput:
 
     def test_h0_takes_no_arguments(self, capsys):
         self._rejects(["plante", "--word", "h0(3)"], capsys, "h0 takes no arguments")
+
+
+ENGINES = sorted(FROZEN_REALIZE_CSV) + ["restriction", "ok"]
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_engine_family_sweep_ends_in_an_answer_or_exit_2(engine, capsys):
+    # the plante engine acts on wreath elements, the others on PLMaps; a
+    # mismatched family used to end in an AttributeError traceback.  The
+    # escaping engine's line-model families, which used to run without end,
+    # run in their own capped process in test_escaping_refuses_line_maps.
+    for family in sorted(_FAMILIES):
+        if engine == "escaping" and family in ("bs2", "line"):
+            continue
+        rc = main(["realize", "--engine", engine, "--family", family, "--radius", "2"])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), (family, rc)
+        if (engine == "plante") != (family == "plante"):
+            assert rc == 2 and "does not act on the" in err, family
+
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _limited():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv", [
+    ["sign", "--engine", "escaping", "--word", "t(1)"],
+    ["sign", "--engine", "escaping", "--family", "line", "--word", "h"],
+    ["realize", "--engine", "escaping", "--family", "bs2", "--radius", "2"],
+    ["realize", "--engine", "escaping", "--family", "line", "--radius", "2"],
+], ids=["sign-t", "sign-line-h", "realize-bs2", "realize-line"])
+def test_escaping_refuses_line_maps(argv):
+    # the scan below a negative breakpoint used to run on, its denominators
+    # growing, so each call runs in its own process with a time and memory cap
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    done = subprocess.run([sys.executable, "-m", "plorder.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=30,
+                          preexec_fn=_limited)
+    assert done.returncode == 2
+    assert "unit-interval maps only" in done.stderr
+    assert "Traceback" not in done.stderr

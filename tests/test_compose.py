@@ -1,9 +1,12 @@
-"""PLMap composition by ordered merge, against the sample-based oracle.
+"""PLMap composition by ordered merge, against two oracles.
 
 `sample_compose` and `sample_inverse` are the group law as it was before
 the merge: a fully validated inverse, the union of candidate breakpoints,
-one sample point per piece and the validating constructor.  They stay here
-as the slow path that the merge must agree with exactly.
+one sample point per piece and the validating constructor.
+`fraction_compose` and `fraction_inverse` are the merge as it was before
+the integer kernel: the same walk, with Fraction arithmetic and the
+validating constructor's canonicalization.  Both stay here as slow paths
+that the kernel must agree with exactly.
 """
 
 import random
@@ -12,7 +15,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from plorder.plgroup import PLMap, ball, bs_g_plus, thompson_f_pair, translation
+from plorder.plgroup import PLMap, ball, bs_g, bs_g_plus, thompson_f_pair, translation
 
 
 def sample_inverse(g: PLMap) -> PLMap:
@@ -48,6 +51,35 @@ def sample_compose(f: PLMap, g: PLMap) -> PLMap:
     return PLMap(f.model, bps, slopes, offsets)
 
 
+def fraction_inverse(g: PLMap) -> PLMap:
+    return PLMap(g.model, [s * b + o for b, s, o in zip(g.breakpoints, g.slopes, g.offsets)],
+                 [1 / s for s in g.slopes],
+                 [-o / s for s, o in zip(g.slopes, g.offsets)])
+
+
+def fraction_compose(f: PLMap, g: PLMap) -> PLMap:
+    """(f * g)(x) = f(g(x)): the ordered merge over g's pieces, in Fractions."""
+    fb, fs, fo = f.breakpoints, f.slopes, f.offsets
+    gb = g.breakpoints
+    nf, ng = len(fb), len(gb)
+    bps, slopes, offsets = [], [], []
+    j = 0
+    for i, (a, c) in enumerate(zip(g.slopes, g.offsets)):
+        top = a * gb[i] + c if i < ng else None
+        while j < nf and (top is None or fb[j] < top):
+            slopes.append(fs[j] * a)
+            offsets.append(fs[j] * c + fo[j])
+            bps.append((fb[j] - c) / a)
+            j += 1
+        slopes.append(fs[j] * a)
+        offsets.append(fs[j] * c + fo[j])
+        if top is not None:
+            bps.append(gb[i])
+            if j < nf and fb[j] == top:
+                j += 1
+    return PLMap(f.model, bps, slopes, offsets)
+
+
 # ---------------------------------------------------------------------------
 # Random dyadic maps
 # ---------------------------------------------------------------------------
@@ -73,6 +105,25 @@ def maps(draw, model: str):
 def same_model(draw, k: int):
     model = draw(st.sampled_from(["unit", "line"]))
     return tuple(draw(maps(model)) for _ in range(k))
+
+
+# knots in thirds and fifths: breakpoints, slopes and offsets are not dyadic
+ODD = 45
+odd_unit_points = st.integers(1, ODD - 1).map(lambda n: F(n, ODD))
+odd_line_points = st.integers(-3 * ODD, 3 * ODD).map(lambda n: F(n, ODD))
+
+
+@st.composite
+def odd_pair(draw):
+    model = draw(st.sampled_from(["unit", "line"]))
+    points = odd_unit_points if model == "unit" else odd_line_points
+    out = []
+    for _ in range(2):
+        n = draw(st.integers(0, 4) if model == "unit" else st.integers(2, 5))
+        knots = st.lists(points, min_size=n, max_size=n, unique=True)
+        xs, ys = sorted(draw(knots)), sorted(draw(knots))
+        out.append(PLMap.from_points(model, zip(xs, ys)))
+    return tuple(out)
 
 
 def probe_points(f: PLMap, g: PLMap) -> list:
@@ -133,6 +184,14 @@ class TestMergeProperties:
         assert f * g == sample_compose(f, g)
         assert f.inverse() == sample_inverse(f)
 
+    @given(odd_pair())
+    def test_matches_fraction_oracle_off_the_dyadics(self, fg):
+        f, g = fg
+        for u, v in ((f, g), (g, f), (f, f.inverse()), (g.inverse(), f)):
+            assert u * v == fraction_compose(u, v)
+        assert f.inverse() == fraction_inverse(f)
+        assert g.inverse() == fraction_inverse(g)
+
     @given(same_model(1))
     def test_text_roundtrip(self, fs):
         (f,) = fs
@@ -166,6 +225,25 @@ def test_oracle_on_f_ball_radius5():
             pairs += [(g, h), (h, g)]
     _assert_same_products(pairs)
     assert all(g.inverse() == sample_inverse(g) for g in elements)
+
+
+def test_fraction_oracle_on_bs2_ball_radius4():
+    elements = list(ball({"t": translation(1), "g+": bs_g_plus(0, 2)}, 4))
+    for g in elements:
+        for h in elements:
+            assert g * h == fraction_compose(g, h), (g, h)
+    assert all(g.inverse() == fraction_inverse(g) for g in elements)
+
+
+def test_fraction_oracle_on_rational_slopes():
+    """A seeded sample of pairs from the radius-5 ball of t(1) and g(0,6),
+    the PL_Q family the prime:2 and prime:3 engines sweep."""
+    elements = list(ball({"t": translation(1), "g6": bs_g(0, 6)}, 5))
+    rng = random.Random(3)
+    for _ in range(2000):
+        g, h = rng.choice(elements), rng.choice(elements)
+        assert g * h == fraction_compose(g, h), (g, h)
+    assert all(g.inverse() == fraction_inverse(g) for g in elements)
 
 
 def test_lazy_hash_keeps_maps_immutable():

@@ -24,6 +24,8 @@ from plorder.plgroup import (
     two_chain_witness,
     verify_relators,
 )
+from plorder.cli import _FAMILIES
+from plorder.plante import WreathElement
 
 
 class TestPLMap:
@@ -150,6 +152,110 @@ class TestBall:
                     gen = base.inverse() if name.endswith("^-1") else base
                     acc = gen if acc is None else acc * gen
                 assert acc == el
+
+
+def bfs_ball(generators: dict, radius: int, identity=None) -> dict:
+    """The ball as it was before backtracking products were skipped: every
+    element of the last sphere times every generator and inverse."""
+    gens = {}
+    for name, el in generators.items():
+        gens[name] = el
+        inv = el.inverse()
+        if inv != el:
+            gens[f"{name}^-1"] = inv
+    if identity is None:
+        some = next(iter(generators.values()))
+        identity = some * some.inverse()
+    seen = {identity: ""}
+    frontier = [identity]
+    for _ in range(radius):
+        new = []
+        for el in frontier:
+            for name, gen in gens.items():
+                cand = el * gen
+                if cand not in seen:
+                    seen[cand] = name if seen[el] == "" else seen[el] + "*" + name
+                    new.append(cand)
+        frontier = new
+    return seen
+
+
+class Perm:
+    """A permutation of range(n) as the tuple of images; p * q is p after q."""
+
+    def __init__(self, images):
+        self.images = tuple(images)
+
+    def __mul__(self, other):
+        return Perm(self.images[i] for i in other.images)
+
+    def inverse(self):
+        out = [0] * len(self.images)
+        for i, j in enumerate(self.images):
+            out[j] = i
+        return Perm(out)
+
+    def __eq__(self, other):
+        return self.images == other.images
+
+    def __hash__(self):
+        return hash(self.images)
+
+
+def _same_ball(generators, radius, identity=None):
+    fast = ball(generators, radius, identity=identity)
+    slow = bfs_ball(generators, radius, identity=identity)
+    assert list(fast.items()) == list(slow.items())
+    return fast
+
+
+class TestBallSkipsBacktracking:
+    """ball against the unpruned breadth-first search: the same elements
+    with the same words, in the same order."""
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_cli_families(self, family):
+        identity = WreathElement.identity() if family == "plante" else None
+        for radius in range(1, 6):
+            _same_ball(_FAMILIES[family](), radius, identity)
+
+    def test_plante_radius_six(self):
+        gens = _FAMILIES["plante"]()
+        assert len(_same_ball(gens, 6, WreathElement.identity())) == 1125
+
+    def test_involution(self):
+        # the transposition s is its own undoer; S4 is reached at radius 5
+        s, r = Perm([1, 0, 2, 3]), Perm([1, 2, 3, 0])
+        for radius in range(1, 7):
+            _same_ball({"s": s, "r": r}, radius)
+        assert len(ball({"s": s, "r": r}, 6)) == 24
+
+    def test_generator_and_inverse_under_two_names(self):
+        t = translation(1)
+        gens = {"t": t, "u": t.inverse(), "g+": bs_g_plus(0, 2)}
+        for radius in range(1, 6):
+            _same_ball(gens, radius)
+
+    def test_generator_named_like_an_inverse(self):
+        # "t^-1" names g+ here and takes over the inverse name of t
+        gens = {"t": translation(1), "t^-1": bs_g_plus(0, 2)}
+        for radius in range(1, 6):
+            _same_ball(gens, radius)
+
+    def test_products_made(self, bs_gens, monkeypatch):
+        # one product for the identity, then none that undoes the last step:
+        # at radius 4 the unpruned search makes 213, at radius 5 it makes 645
+        calls = []
+        mul = PLMap.__mul__
+        monkeypatch.setattr(PLMap, "__mul__", lambda f, g: calls.append(1) or mul(f, g))
+        assert len(ball(bs_gens, 4)) == 161 and len(calls) == 161
+        calls.clear()
+        assert len(ball(bs_gens, 5)) == 475 and len(calls) == 485
+
+    def test_identity_generator(self):
+        gens = {"e": PLMap.identity("line"), "t": translation(1)}
+        for radius in range(1, 5):
+            _same_ball(gens, radius)
 
 
 F_BUMP = PLMap.from_points(

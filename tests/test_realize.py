@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction as F
+from operator import itemgetter
 
 import pytest
 
-from plorder.cli import parse_engine
+from plorder.cli import _DEFAULT_FAMILY, _FAMILIES, parse_engine
 from plorder.plante import CSet, PlanteEngine, WreathElement
 from plorder.plgroup import (
     PLMap,
@@ -17,6 +18,7 @@ from plorder.preorders import JumpEngine
 from plorder.realize import (
     DynType,
     NoFixedPoint,
+    OrbitFrame,
     build_frame,
     cf_cover_check,
     classify_empirical,
@@ -83,6 +85,93 @@ class TestOrbitFrame:
         for i in range(len(pts)):
             for j in range(i + 1, len(pts)):
                 assert frame.cmp_elements(pts[i], pts[j]) < 0
+
+
+def keyed_frame(engine, generators, basepoint=None, radius=3) -> OrbitFrame:
+    """build_frame as it was before keys were inherited: every ball
+    element is keyed."""
+    items = sorted(ball(generators, radius, identity=basepoint).items(),
+                   key=lambda kv: (len(kv[1]), kv[1]))
+    keyed = sorted(((engine.key(el), el, word) for el, word in items),
+                   key=itemgetter(0))
+    points, words, keys = [], {}, []
+    for k, el, word in keyed:
+        if not keys or keys[-1] != k:
+            points.append(el)
+            words[el] = word or "e"
+            keys.append(k)
+    return OrbitFrame(engine, points, words, keys)
+
+
+TEN_ENGINES = ["jump:right,lex", "jump:right,opp", "jump:left,lex", "jump:left,opp",
+               "prime:2", "prime:3", "escaping", "plante", "restriction", "ok"]
+
+
+def _family(desc):
+    return _FAMILIES[_DEFAULT_FAMILY[desc.partition(":")[0]]]()
+
+
+def _same_frame(engine, gens, radius, basepoint=None):
+    fast = build_frame(engine, gens, basepoint=basepoint, radius=radius)
+    slow = keyed_frame(engine, gens, basepoint=basepoint, radius=radius)
+    assert fast.points == slow.points
+    assert fast.words == slow.words
+    assert fast.keys == slow.keys
+    assert all(k == engine.key(x) for k, x in zip(fast.keys, fast.points))
+    return fast
+
+
+class TestInheritedKeys:
+    """build_frame, which reuses the parent's key across generators that
+    fix the basepoint, against keying every element."""
+
+    @pytest.mark.parametrize("desc", TEN_ENGINES)
+    def test_ten_engines(self, desc):
+        for radius in (2, 3, 4):
+            _same_frame(parse_engine(desc), _family(desc), radius)
+
+    @pytest.mark.parametrize("desc", TEN_ENGINES[:4])
+    def test_jump_engines_radius_five(self, desc):
+        _same_frame(parse_engine(desc), _family(desc), 5)
+
+    def test_plante_with_basepoint(self, plante_gens):
+        _same_frame(PlanteEngine(), plante_gens, 5, WreathElement.identity())
+
+    @pytest.mark.parametrize("desc, fewer", [
+        ("jump:right,lex", True), ("prime:3", True), ("plante", True), ("ok", True),
+        ("escaping", False), ("restriction", False)])
+    def test_keys_computed(self, desc, fewer, monkeypatch):
+        # t(1), wreath t and line t fix the basepoint; F's generators do not
+        engine, gens = parse_engine(desc), _family(desc)
+        calls = []
+        key = engine.key
+        monkeypatch.setattr(engine, "key", lambda x: calls.append(1) or key(x))
+        build_frame(engine, gens, radius=4)
+        n = len(ball(gens, 4))
+        assert len(calls) < n / 2 + 10 if fewer else len(calls) == n
+
+    def test_star_in_a_name_keys_every_element(self, bs_gens, monkeypatch):
+        # "g*t" would read as "g" times the fixing generator "t"
+        engine = JumpEngine()
+        gens = {"t": bs_gens["t"], "g*t": bs_gens["g+"]}
+        calls = []
+        key = engine.key
+        monkeypatch.setattr(engine, "key", lambda x: calls.append(1) or key(x))
+        build_frame(engine, gens, radius=3)
+        assert len(calls) == len(ball(gens, 3))
+        monkeypatch.undo()
+        _same_frame(engine, gens, 3)
+
+    def test_first_failure_is_unchanged(self):
+        # slope 3 lies outside <2>: the first element keyed with it raises
+        engine = JumpEngine()
+        gens = {"t": translation(1), "g3": bs_g_plus(0, 3)}
+        messages = []
+        for build in (build_frame, keyed_frame):
+            with pytest.raises(ValueError) as e:
+                build(engine, gens, radius=3)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
 
 
 class TestInducedMap:
