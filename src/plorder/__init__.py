@@ -36,8 +36,6 @@ from .preorders import (
     RestrictionEngine,
     Sign,
     axioms_report,
-    jump_sign,
-    prime_jump_sign,
     restriction_sign,
     xg,
 )

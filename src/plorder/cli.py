@@ -148,38 +148,56 @@ def parse_family_word(text: str, gens: dict):
     return _parse_atoms(text, atom)
 
 
+def _jump_engine(opts):
+    """jump[:side][,order]: one side (right, left), one order (lex, opp)."""
+    picked = {}
+    for o in opts:
+        kind = {"right": "side", "left": "side", "lex": "order", "opp": "order"}.get(o)
+        if kind is None:
+            raise InputError(f"unknown jump option {o!r}")
+        if kind in picked:
+            raise InputError(f"jump takes one {kind}, got {picked[kind]!r} and {o!r}")
+        picked[kind] = o
+    order = LatticePreorder([(-1,)]) if picked.get("order") == "opp" else None
+    return JumpEngine(picked.get("side", "right"), SlopeGroup([2]), order)
+
+
+def _prime_engine(opts):
+    if len(opts) != 1:
+        raise InputError("prime:q needs one prime")
+    return PrimeJumpEngine(int(opts[0]))
+
+
+def _seed(opts) -> Fraction:
+    return parse_rational(opts[0]) if opts else Fraction(1, 2)
+
+
+# name -> (most options, builder of the engine from its options, default family)
+_ENGINES = {
+    "jump": (2, _jump_engine, "bs2"),
+    "restriction": (1, lambda opts: RestrictionEngine(
+        DiscreteInvariantSet(f_big_generator(), _seed(opts))), "fplus"),
+    "prime": (1, _prime_engine, "bs2"),
+    "escaping": (1, lambda opts: EscapingEngine(EscapingContext(s0=_seed(opts))),
+                 "thompsonF"),
+    "plante": (0, lambda opts: PlanteEngine(), "plante"),
+    "ok": (0, lambda opts: SymbolicEngine(), "line"),
+}
+
+_DEFAULT_FAMILY = {name: family for name, (_, _, family) in _ENGINES.items()}
+
+
 def parse_engine(desc: str):
     """Descriptors like "jump:right,lex", "prime:3", "escaping", "plante"."""
     name, _, rest = desc.partition(":")
+    if name not in _ENGINES:
+        raise InputError(f"unknown engine {desc!r}")
+    most, build, _ = _ENGINES[name]
     opts = [o for o in rest.split(",") if o]
-    if name == "jump":
-        side = "right"
-        order = None
-        for o in opts:
-            if o in ("right", "left"):
-                side = o
-            elif o == "lex":
-                order = None
-            elif o == "opp":
-                order = LatticePreorder([(-1,)])
-            else:
-                raise InputError(f"unknown jump option {o!r}")
-        return JumpEngine(side=side, group=SlopeGroup([2]), order=order)
-    if name == "restriction":
-        seed = parse_rational(opts[0]) if opts else Fraction(1, 2)
-        return RestrictionEngine(DiscreteInvariantSet(f_big_generator(), (seed,)))
-    if name == "prime":
-        if len(opts) != 1:
-            raise InputError("prime:q needs one prime")
-        return PrimeJumpEngine(int(opts[0]))
-    if name == "escaping":
-        s0 = parse_rational(opts[0]) if opts else Fraction(1, 2)
-        return EscapingEngine(EscapingContext(s0=s0))
-    if name == "plante":
-        return PlanteEngine()
-    if name == "ok":
-        return SymbolicEngine()
-    raise InputError(f"unknown engine {desc!r}")
+    if len(opts) > most:
+        raise InputError(f"engine {name!r} takes at most {most} "
+                         f"option{'s' * (most != 1)}, got {rest!r}")
+    return build(opts)
 
 
 def _fplus_family() -> dict:
@@ -197,10 +215,6 @@ _FAMILIES = {
     "plante": lambda: {"t": WreathElement.shift_by(1),
                        "h0": WreathElement.lamp_at(0)},
 }
-
-_DEFAULT_FAMILY = {"jump": "bs2", "escaping": "thompsonF", "plante": "plante",
-                   "restriction": "fplus", "ok": "line",
-                   "prime": "bs2"}
 
 
 def _family_for(args) -> dict:
@@ -227,6 +241,7 @@ def cmd_sign(args) -> int:
 
 
 def _frame_radius(args) -> int:
+    """The one check of --radius, for every command that reads it."""
     if args.radius < 1:
         raise InputError(f"--radius must be at least 1, got {args.radius}")
     return args.radius
@@ -300,31 +315,23 @@ def cmd_realize(args) -> int:
 
 
 def cmd_check(args) -> int:
+    radius = _frame_radius(args)
     report = {"seed": args.seed, "suites": {}}
     a, b = thompson_f_pair()
     report["suites"]["relators"] = {"pass": verify_relators(a, b)}
 
-    engines = {
-        "restriction": RestrictionEngine(DiscreteInvariantSet(f_big_generator())),
-        "jump:right": JumpEngine(side="right"),
-        "jump:left": JumpEngine(side="left"),
-        "escaping": EscapingEngine(EscapingContext()),
-        "plante": PlanteEngine(),
-    }
-    # the restriction preorder lives on the trivial-right-germ subgroup
+    f_ball = list(ball({"a": a, "b": b}, radius))
+    bs2_ball = list(ball(_FAMILIES["bs2"](), radius))
     samples = {
-        "restriction": [g for g in ball({"a": a, "b": b}, args.radius)
-                        if tau1(g) == 0],
-        "jump:right": list(ball(_FAMILIES["bs2"](), args.radius)),
-        "jump:left": list(ball(_FAMILIES["bs2"](), args.radius)),
-        "escaping": list(ball({"a": a, "b": b}, args.radius)),
-        "plante": list(ball(_FAMILIES["plante"](),
-                            args.radius,
+        # the restriction preorder lives on the trivial-right-germ subgroup
+        "restriction": [g for g in f_ball if tau1(g) == 0],
+        "jump:right": bs2_ball, "jump:left": bs2_ball, "escaping": f_ball,
+        "plante": list(ball(_FAMILIES["plante"](), radius,
                             identity=WreathElement.identity())),
     }
     ok = report["suites"]["relators"]["pass"]
-    for name, eng in engines.items():
-        r = axioms_report(eng, samples[name], seed=args.seed)
+    for name, sample in samples.items():
+        r = axioms_report(parse_engine(name), sample, seed=args.seed)
         report["suites"][f"axioms[{name}]"] = {
             "pass": r["pass"], "samples": r["samples"], "pairs": r["pairs"],
             "failures": [[str(x) for x in f] for f in r["failures"][:3]]}
@@ -352,10 +359,9 @@ def cmd_twochain(args) -> int:
 
 
 def cmd_relators(args) -> int:
-    a = parse_word(args.a) if args.a else None
-    b = parse_word(args.b) if args.b else None
-    if a is None or b is None:
-        a, b = thompson_f_pair()
+    if bool(args.a) != bool(args.b):
+        raise InputError("give both --a and --b, or neither")
+    a, b = (parse_word(args.a), parse_word(args.b)) if args.a else thompson_f_pair()
     if verify_relators(a, b):
         print("true")
         return 0
@@ -379,6 +385,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_plante(args) -> int:
+    radius = _frame_radius(args)
     engine = PlanteEngine()
     if args.word:
         w = parse_wreath_word(args.word)
@@ -388,9 +395,9 @@ def cmd_plante(args) -> int:
     # default report: commuting conjugates and cross-free C-sets on a ball
     t = WreathElement.shift_by(1)
     h0 = WreathElement.lamp_at(0)
-    hs = [(t ** n) * h0 * (t ** -n) for n in range(args.radius + 1)]
+    hs = [(t ** n) * h0 * (t ** -n) for n in range(radius + 1)]
     commute = all(x * y == y * x for x in hs for y in hs)
-    elements = ball({"t": t, "h0": h0}, args.radius,
+    elements = ball({"t": t, "h0": h0}, radius,
                     identity=WreathElement.identity())
     csets = [CSet(sigma, cut) for sigma in list(elements)[:40]
              for cut in range(-1, 2)]
@@ -493,10 +500,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except ValueError as e:  # InputError and every library input error
         print(f"input error: {e}", file=sys.stderr)
         return 2
 

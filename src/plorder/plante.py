@@ -130,20 +130,8 @@ class WreathElement:
 
 
 # ---------------------------------------------------------------------------
-# Plante sign
+# Plante preorder
 # ---------------------------------------------------------------------------
-
-def plante_sign(w: WreathElement, order: LatticePreorder | None = None) -> Sign:
-    """Sign of the lamp value at the top of the support; Residue for pure
-    shifts (zero configuration)."""
-    order = order or LatticePreorder.lex(w.k)
-    if not w.lamp:
-        return Sign.RESIDUE
-    s = order.sign_of(w.lamp[max(w.lamp)])
-    if s == 0:
-        raise ValueError("order must be total on nonzero top values")
-    return Sign(s)
-
 
 class PlanteEngine:
     def __init__(self, k: int = 1, order: LatticePreorder | None = None):
@@ -192,7 +180,8 @@ class PlanteEngine:
         return act
 
     def sign(self, w: WreathElement) -> Sign:
-        return plante_sign(w, self.order)
+        """The sign of the key's first entry, the top lamp (Residue if none)."""
+        return Sign(self.key(w)[0][0])
 
     def __repr__(self):
         return f"PlanteEngine(k={self.k}, order={self.order!r})"

@@ -19,6 +19,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import count
 from operator import add
 
 from .exactnum import LatticePreorder, NotInGroup, SlopeGroup, is_prime, valuation
@@ -43,85 +44,74 @@ class SlopeNotInGroup(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Restriction preorder on F_+
+# The orbit of one seed, and the restriction preorder on F_+
 # ---------------------------------------------------------------------------
 
 class DiscreteInvariantSet:
-    """K = union of anchor-orbits of finitely many seeds, discrete in (0,1).
+    """K = {s(n)}, the anchor-orbit of one seed, discrete in (0,1) and
+    indexed upward: s(0) is the seed and s(n + 1) > s(n).
 
-    The anchor must have no interior fixed points; each orbit then
+    The anchor must have no interior fixed points; the orbit then
     accumulates only at the endpoints, so K meets every compact subinterval
     of (0,1) in a finite computable set.
     """
 
-    def __init__(self, anchor: PLMap, seeds=(Fraction(1, 2),)):
+    def __init__(self, anchor: PLMap, seed=Fraction(1, 2)):
         if anchor.model != "unit":
             raise ValueError("anchor must be a unit-interval map")
         fixed = anchor.fixed_structure().fixed
         if fixed != [(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))]:
             raise ValueError("anchor must fix only the endpoints")
-        seeds = tuple(Fraction(s) for s in seeds)
-        if not seeds or any(not 0 < s < 1 for s in seeds):
+        seed = Fraction(seed)
+        if not 0 < seed < 1:
             raise ValueError("seeds must lie in (0,1)")
-        s0 = min(seeds)
-        top = anchor(s0) if anchor(s0) > s0 else anchor.inverse()(s0)
-        if any(not (s0 <= s < top) for s in seeds):
-            raise ValueError("seeds must lie in one fundamental domain")
-        self.anchor = anchor
-        self.seeds = seeds
-        self._up = anchor if anchor(s0) > s0 else anchor.inverse()
+        self.anchor, self.seed = anchor, seed
+        self._up = anchor if anchor(seed) > seed else anchor.inverse()
         self._down = self._up.inverse()
+        self._cache = {0: seed}
+
+    def s(self, n: int) -> Fraction:
+        """The n-th orbit point, cached with every point walked to reach it."""
+        cache, m = self._cache, n
+        step, f = (1, self._up) if n > 0 else (-1, self._down)
+        while m not in cache:
+            m -= step
+        while m != n:
+            cache[m + step] = f(cache[m])
+            m += step
+        return cache[n]
 
     def points_desc(self, upper: Fraction):
         """K-points strictly below upper, in decreasing order (lazy).  K
         accumulates at 0 and 1, so upper must lie in (0, 1)."""
         if not 0 < upper < 1:
             raise ValueError(f"upper = {upper} must lie in (0, 1)")
-        down = self._down
-        heads = []
-        for s in self.seeds:
-            x = s
-            while x < upper:
-                x = self._up(x)
-            while x >= upper:
-                x = down(x)
-            heads.append(x)
-        while True:
-            i = max(range(len(heads)), key=lambda j: heads[j])
-            yield heads[i]
-            heads[i] = down(heads[i])
-
-
-def _top_disagreement(u: PLMap, v: PLMap, K: DiscreteInvariantSet):
-    """Highest x in K with u(x) != v(x), or None when u and v agree on K.
-
-    Needs tau1(u) = tau1(v): the two maps then share their last piece and
-    agree above their highest breakpoint.  Below their lowest breakpoint
-    both are linear through 0, so the first K-point there decides.
-    """
-    if u.model != "unit" or v.model != "unit":
-        raise NotInFPlus("unit-interval maps only")
-    t = tau1(u) - tau1(v)
-    if t:
-        raise NotInFPlus(f"tau1 = {t}")
-    if u == v:
-        return None
-    bu, bv = u.breakpoints, v.breakpoints
-    lo = min(bu[:1] + bv[:1])
-    for x in K.points_desc(max(bu[-1:] + bv[-1:])):
-        if u(x) != v(x):
-            return x
-        if x <= lo:
-            return None
-
-
-_UNIT = PLMap.identity("unit")
+        s, n = self.s, 0
+        while s(n) < upper:
+            n += 1
+        while s(n) >= upper:
+            n -= 1
+        yield from map(s, count(n, -1))
 
 
 def xg(g: PLMap, K: DiscreteInvariantSet):
     """sup{x in K : g(x) != x}, or None when g fixes K pointwise.
-    Requires tau1(g) = 0 (trivial right germ)."""
-    return _top_disagreement(g, _UNIT, K)
+    Requires tau1(g) = 0 (trivial right germ): g is then the identity above
+    its highest breakpoint, and linear through 0 below its lowest one, so
+    the first K-point there decides."""
+    if g.model != "unit":
+        raise NotInFPlus("unit-interval maps only")
+    t = tau1(g)
+    if t:
+        raise NotInFPlus(f"tau1 = {t}")
+    bps = g.breakpoints
+    if not bps:
+        return None
+    for x in K.points_desc(bps[-1]):
+        if g(x) != x:
+            return x
+        if x <= bps[0]:
+            return None
 
 
 def restriction_sign(g: PLMap, K: DiscreteInvariantSet) -> Sign:
@@ -130,32 +120,6 @@ def restriction_sign(g: PLMap, K: DiscreteInvariantSet) -> Sign:
     if x is None:
         return Sign.RESIDUE
     return Sign.POSITIVE if g(x) > x else Sign.NEGATIVE
-
-
-class RestrictionEngine:
-    """The key of u orders it by u(x) at the top K-point where two maps
-    differ (maps with the same right germ only)."""
-
-    def __init__(self, K: DiscreteInvariantSet):
-        self.K = K
-        self.key = cmp_to_key(self._compare)
-
-    def _compare(self, u: PLMap, v: PLMap) -> int:
-        x = _top_disagreement(u, v, self.K)
-        if x is None:
-            return 0
-        return 1 if u(x) > v(x) else -1
-
-    def act(self, g: PLMap):
-        """k -> key(g x) for k = key(x); the key wraps x itself."""
-        key = self.key
-        return lambda k: key(g * k.obj)
-
-    def sign(self, g: PLMap) -> Sign:
-        return restriction_sign(g, self.K)
-
-    def __repr__(self):
-        return f"RestrictionEngine(seeds={self.K.seeds})"
 
 
 # ---------------------------------------------------------------------------
@@ -244,13 +208,6 @@ def _key_sign(key: tuple) -> Sign:
     return Sign((key > ident) - (key < ident))
 
 
-def jump_sign(g: PLMap, side: str = "right",
-              group: SlopeGroup | None = None,
-              order: LatticePreorder | None = None) -> Sign:
-    """Sign of j^side(g, .) at its outermost non-residue point."""
-    return JumpEngine(side, group, order).sign(g)
-
-
 class JumpEngine:
     """Jump preorder; by default on <2> with the lexicographic order.  The
     key values a slope by the row values of slope / outer slope, memoised
@@ -295,19 +252,10 @@ class JumpEngine:
 # Prime-jump preorders on PL_Q
 # ---------------------------------------------------------------------------
 
-def _prime_key(g: PLMap, q: int) -> tuple:
-    """Profile of nu_q of the left derivative, read from the top; the left
-    derivative is constant on each piece's half-open interval."""
-    return _profile_key(g, "right", lambda slope: (valuation(slope, q),))
-
-
-def prime_jump_sign(g: PLMap, q: int) -> Sign:
+class PrimeJumpEngine:
     """Sign of D_q^- g at the largest x where it differs from 1, where
     D_q^- g(x) = q^{nu_q(D^- g(x))}."""
-    return _key_sign(_prime_key(g, q))
 
-
-class PrimeJumpEngine:
     def __init__(self, q: int):
         q = int(q)
         if not is_prime(q):
@@ -315,14 +263,16 @@ class PrimeJumpEngine:
         self.q = q
 
     def key(self, g: PLMap) -> tuple:
-        return _prime_key(g, self.q)
+        """Profile of nu_q of the left derivative, read from the top; the
+        left derivative is constant on each piece's half-open interval."""
+        return _profile_key(g, "right", lambda slope: (valuation(slope, self.q),))
 
     def act(self, g: PLMap):
         """k -> key(g x) for k = key(x); nu_q is additive in the slope."""
         return _profile_act(g, self.key(g), "right")
 
     def sign(self, g: PLMap) -> Sign:
-        return prime_jump_sign(g, self.q)
+        return _key_sign(self.key(g))
 
     def __repr__(self):
         return f"PrimeJumpEngine(q={self.q})"
@@ -332,30 +282,19 @@ class PrimeJumpEngine:
 # Escaping-sequence order for F
 # ---------------------------------------------------------------------------
 
-class EscapingContext:
-    """The bi-infinite sequence s_n = f0^n(s0)."""
+class EscapingContext(DiscreteInvariantSet):
+    """The bi-infinite sequence s_n = f0^n(s0) of a base element f0 with
+    tau1(f0) = 1, checked as a discrete invariant set."""
 
     def __init__(self, f0: PLMap | None = None, s0=Fraction(1, 2)):
         f0 = f0 or f_big_generator()
         if tau1(f0) != 1:
             raise ValueError("base element must have tau1 = 1")
-        self.f0 = f0
-        self.s0 = Fraction(s0)
-        # rejects an f0 with interior fixed points and s0 outside (0,1); the
-        # escaping scan bounds rely on both
-        self.orbit = DiscreteInvariantSet(f0, (self.s0,))
-        self._down = f0.inverse()
-        self._cache = {0: self.s0}
+        super().__init__(f0, s0)
+        self.f0, self.s0 = f0, self.seed
 
-    def s(self, n: int) -> Fraction:
-        cache, m = self._cache, n
-        step, f = (1, self.f0) if n > 0 else (-1, self._down)
-        while m not in cache:
-            m -= step
-        while m != n:
-            cache[m + step] = f(cache[m])
-            m += step
-        return cache[n]
+
+_UNIT = PLMap.identity("unit")
 
 
 class EscapingEngine:
@@ -369,7 +308,7 @@ class EscapingEngine:
     key(u) < key(v) iff v^-1 u is Negative.
     """
 
-    def __init__(self, ctx: EscapingContext | None = None):
+    def __init__(self, ctx: DiscreteInvariantSet | None = None):
         self.ctx = ctx or EscapingContext()
         self._key = cmp_to_key(self._compare)
         self._identity = self._bounds(_UNIT)
@@ -382,11 +321,12 @@ class EscapingEngine:
         if g.model != "unit":
             raise ModelMismatch("unit-interval maps only")
         s, t = self.ctx.s, tau1(g)
-        bps = g.breakpoints + self.ctx.f0.breakpoints
+        bps = g.breakpoints + self.ctx.anchor.breakpoints
+        top, bottom = max(bps), min(bps)
         hi = lo = 0
-        while s(hi) < max(bps):
+        while s(hi) < top:
             hi += 1
-        while s(lo) > min(bps):
+        while s(lo) > bottom:
             lo -= 1
         return g, t, hi + max(t, 0), lo + t
 
@@ -404,14 +344,32 @@ class EscapingEngine:
 
     def act(self, g: PLMap):
         """k -> key(g x) for k = key(x); the key wraps (x, ...)."""
-        key = self.key
-        return lambda k: key(g * k.obj[0])
+        return lambda k: self.key(g * k.obj[0])
 
     def sign(self, g: PLMap) -> Sign:
         return Sign(self._compare(self._bounds(g), self._identity))
 
     def __repr__(self):
-        return f"EscapingEngine(s0={self.ctx.s0})"
+        return f"{type(self).__name__}(s0={self.ctx.seed})"
+
+
+class RestrictionEngine(EscapingEngine):
+    """The restriction preorder on F_+: u is above v iff u(x) > v(x) at the
+    top K-point x where they differ.  Two maps with the same right germ
+    tau1 shift their orbit sequences by the same tau1, so on them this is
+    the escaping order over K's orbit (for any anchor of K), and maps with
+    different germs are not compared.  Build it as RestrictionEngine(K);
+    K is its ctx."""
+
+    def _compare(self, a, b) -> int:
+        if a[1] != b[1]:
+            raise NotInFPlus(f"tau1 = {a[1] - b[1]}")
+        return super()._compare(a, b)
+
+    # its own sign, not an inherited one: perfbench's tracer patches the
+    # sign in each engine's class body
+    def sign(self, g: PLMap) -> Sign:
+        return Sign(self._compare(self._bounds(g), self._identity))
 
 
 # ---------------------------------------------------------------------------

@@ -99,6 +99,13 @@ class TestCommands:
         assert capsys.readouterr().out.strip() == "true"
         assert main(["relators", "--a", "a", "--b", "a"]) == 1
 
+    def test_check_json_names_its_suites(self, capsys):
+        assert main(["check", "--radius", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert list(report["suites"]) == [
+            "relators", "axioms[restriction]", "axioms[jump:right]",
+            "axioms[jump:left]", "axioms[escaping]", "axioms[plante]"]
+
     def test_twochain(self, capsys):
         assert main(["twochain", "f0", "f0"]) == 1  # hypothesis violated
 
@@ -247,6 +254,35 @@ class TestBadInput:
     def test_realize_radius_zero(self, capsys):
         self._rejects(["realize", "--radius", "0"], capsys,
                       "--radius must be at least 1")
+
+    # check and plante read --radius through the same check; they used to
+    # print degenerate reports
+    @pytest.mark.parametrize("argv", [["check", "--radius", "0"],
+                                      ["check", "--radius", "-2"],
+                                      ["plante", "--radius", "-3"]])
+    def test_every_radius_is_checked(self, argv, capsys):
+        self._rejects(argv, capsys, "--radius must be at least 1")
+
+    # options an engine does not take used to be dropped, or the last of two
+    # sides silently won
+    @pytest.mark.parametrize("engine, word, reason", [
+        ("restriction:1/2,junk", "a", "engine 'restriction' takes at most 1 option"),
+        ("escaping:1/2,9", "a", "engine 'escaping' takes at most 1 option"),
+        ("plante:x", "t", "engine 'plante' takes at most 0 options"),
+        ("ok:zzz", "t", "engine 'ok' takes at most 0 options"),
+        ("jump:right,left", "t(1)", "jump takes one side, got 'right' and 'left'"),
+        ("jump:lex,opp", "t(1)", "jump takes one order, got 'lex' and 'opp'"),
+        ("prime:2,3", "t(1)", "engine 'prime' takes at most 1 option"),
+    ])
+    def test_engine_refuses_options_it_does_not_take(self, engine, word, reason,
+                                                      capsys):
+        self._rejects(["sign", "--engine", engine, "--word", word], capsys, reason)
+
+    @pytest.mark.parametrize("argv", [["relators", "--a", "f0"],
+                                      ["relators", "--b", "a"]])
+    def test_relators_need_both_maps(self, argv, capsys):
+        # one map alone used to check the standard pair and print true
+        self._rejects(argv, capsys, "give both --a and --b, or neither")
 
     @pytest.mark.parametrize("word", ["g-(0,2)", "t(1)"])
     def test_restriction_rejects_line_maps(self, word, capsys):

@@ -7,6 +7,8 @@ The action on orbit points has its own oracle: act(g)(key(x)) must be
 key(g * x), the key of the product that act avoids forming.
 """
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 from functools import reduce
@@ -16,9 +18,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plorder.exactnum import LatticePreorder
-from plorder.plante import PlanteEngine, WreathElement, plante_sign
-from plorder.plgroup import PLMap, ball, bs_g, bs_g_plus, tau1, translation
+from plorder.plante import PlanteEngine, WreathElement
+from plorder.plgroup import (
+    PLMap,
+    ball,
+    bs_g,
+    bs_g_plus,
+    f_big_generator,
+    tau1,
+    thompson_f_pair,
+    translation,
+)
 from plorder.preorders import (
+    DiscreteInvariantSet,
+    EscapingContext,
     EscapingEngine,
     JumpEngine,
     NotInFPlus,
@@ -26,6 +39,7 @@ from plorder.preorders import (
     RestrictionEngine,
     Sign,
     SlopeNotInGroup,
+    xg,
 )
 from plorder.symsets import SymbolicEngine, line_generators, ok_compare
 
@@ -90,7 +104,18 @@ def ref_restriction_sign(g, K):
 def ref_escaping_sign(g, ctx):
     """Kill the right germ with f0^-tau1(g), then read the top moved orbit point."""
     v = ctx.f0 ** (-tau1(g)) * g
-    return ref_restriction_sign(v, ctx.orbit)
+    return ref_restriction_sign(v, ctx)
+
+
+def ref_plante_sign(w, order):
+    """Sign of the lamp value at the top of the support; Residue for pure
+    shifts (zero configuration)."""
+    if not w.lamp:
+        return Sign.RESIDUE
+    s = order.sign_of(w.lamp[max(w.lamp)])
+    if s == 0:
+        raise ValueError("order must be total on nonzero top values")
+    return Sign(s)
 
 
 def reference(engine):
@@ -100,12 +125,12 @@ def reference(engine):
     if isinstance(engine, PrimeJumpEngine):
         return lambda g: ref_prime_sign(g, engine.q)
     if isinstance(engine, RestrictionEngine):
-        return lambda g: ref_restriction_sign(g, engine.K)
+        return lambda g: ref_restriction_sign(g, engine.ctx)
     if isinstance(engine, EscapingEngine):
         return lambda g: ref_escaping_sign(g, engine.ctx)
     if isinstance(engine, SymbolicEngine):
         return lambda g: Sign(ok_compare(engine.base.image(g), engine.base))
-    return lambda g: plante_sign(g, engine.order)
+    return lambda g: ref_plante_sign(g, engine.order)
 
 
 def _cmp(a, b):
@@ -165,9 +190,70 @@ def test_restriction_keys_beyond_fplus(axiom_engines, balls5):
         for _ in range(20):
             u, v = rng.choice(group), rng.choice(group)
             assert _cmp(engine.key(u), engine.key(v)) == \
-                ref_restriction_sign(v.inverse() * u, engine.K).value
+                ref_restriction_sign(v.inverse() * u, engine.ctx).value
             checked += 1
     assert checked
+
+
+def test_restriction_is_escaping_on_one_germ():
+    # the identity the restriction engine rests on: on two maps with the same
+    # right germ the escaping order shifts both sequences alike, so it is
+    # the restriction order; checked on every equal-germ pair of the F r4 ball
+    a, b = thompson_f_pair()
+    restriction = RestrictionEngine(DiscreteInvariantSet(f_big_generator()))
+    escaping = EscapingEngine(EscapingContext())
+    by_germ = {}
+    for g in ball({"a": a, "b": b}, 4):
+        by_germ.setdefault(tau1(g), []).append((restriction.key(g), escaping.key(g)))
+    pairs = 0
+    for keys in by_germ.values():
+        for ru, eu in keys:
+            for rv, ev in keys:
+                assert _cmp(ru, rv) == _cmp(eu, ev)
+                pairs += 1
+    assert len(by_germ) == 9 and pairs == 4185
+
+
+# sha256 of [frame rank of each element, sign of each element] over the F_+
+# elements of the F r4 ball (in ball order) for the restriction engine on
+# the orbit of 1/3, recorded before the engine became the escaping scan
+FROZEN_ANCHORS = {
+    "f0^-1": "b2105b02cd1e562ee1d874ce9b0bcd81c78b73e05fd46eafcd4177e2eb62c1be",
+    "f0^2": "6a61d861b1a9f183a1288b88a335924d593b0608295bd7632ce6586352741d68",
+    "a*f0": "d69fabc3072e435f94c4ea2656b78bc54b7da2612ceb60b08f4df5c9fb1c8d31",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FROZEN_ANCHORS))
+def test_restriction_anchors(name):
+    # an anchor and its inverse have one orbit; f0^2 walks every other point
+    # of it, and a*f0 has an orbit of its own
+    a, b = thompson_f_pair()
+    f0 = f_big_generator()
+    anchor = {"f0^-1": f0.inverse(), "f0^2": f0 ** 2, "a*f0": a * f0}[name]
+    K = DiscreteInvariantSet(anchor, Fraction(1, 3))
+    engine = RestrictionEngine(K)
+    pool = [g for g in ball({"a": a, "b": b}, 4) if tau1(g) == 0]
+    keys = [engine.key(g) for g in pool]
+    for u, ku in zip(pool, keys):
+        for v, kv in zip(pool, keys):
+            assert _cmp(ku, kv) == ref_restriction_sign(v.inverse() * u, K).value
+    order = sorted(range(len(pool)), key=keys.__getitem__)
+    rank = {order[0]: 0}
+    for i, j in zip(order, order[1:]):
+        rank[j] = rank[i] + (keys[i] < keys[j])
+    signs = [engine.sign(g).value for g in pool]
+    digest = hashlib.sha256(
+        json.dumps([[rank[i] for i in range(len(pool))], signs]).encode()).hexdigest()
+    assert digest == FROZEN_ANCHORS[name]
+
+
+@pytest.mark.parametrize("seed", [Fraction(1, 2), Fraction(1, 3)])
+def test_xg_is_reference_scan(balls5, seed):
+    # xg scans g against the identity on its own; the oracle scans the support
+    K = DiscreteInvariantSet(f_big_generator(), seed)
+    for g in balls5["fplus"]:
+        assert xg(g, K) == ref_xg(g, K), g
 
 
 def test_restriction_keys_reject_different_germs(axiom_engines, f_pair):

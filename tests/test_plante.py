@@ -11,7 +11,6 @@ from plorder.plante import (
     _nesting_forest,
     cset_family_cross_free,
     delta_kernel,
-    plante_sign,
 )
 from plorder.plgroup import ball
 from plorder.preorders import Sign
@@ -71,14 +70,16 @@ class TestWreathAlgebra:
 
 class TestPlanteSign:
     def test_basic_signs(self):
-        assert plante_sign(WreathElement.lamp_at(0)) == Sign.POSITIVE
-        assert plante_sign(WreathElement.lamp_at(0, -1)) == Sign.NEGATIVE
-        assert plante_sign(WreathElement.shift_by(5)) == Sign.RESIDUE
+        sign = PlanteEngine().sign
+        assert sign(WreathElement.lamp_at(0)) == Sign.POSITIVE
+        assert sign(WreathElement.lamp_at(0, -1)) == Sign.NEGATIVE
+        assert sign(WreathElement.shift_by(5)) == Sign.RESIDUE
 
     def test_top_lamp_decides(self):
+        sign = PlanteEngine().sign
         w = WreathElement({0: -7, 3: 1})
-        assert plante_sign(w) == Sign.POSITIVE
-        assert plante_sign(w.inverse()) == Sign.NEGATIVE
+        assert sign(w) == Sign.POSITIVE
+        assert sign(w.inverse()) == Sign.NEGATIVE
 
     def test_rank_two_lex(self):
         order = LatticePreorder([(1, 0), (0, 1)])

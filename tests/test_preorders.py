@@ -14,8 +14,6 @@ from plorder.preorders import (
     PrimeJumpEngine,
     RestrictionEngine,
     Sign,
-    jump_sign,
-    prime_jump_sign,
     restriction_sign,
     xg,
 )
@@ -43,6 +41,22 @@ class TestDiscreteInvariantSet:
         for upper in (F(1), F(2), F(0)):
             with pytest.raises(ValueError):
                 next(K.points_desc(upper))
+
+    def test_orbit_is_indexed_upward(self):
+        # an anchor and its inverse give one orbit, walked upward either way
+        f0 = f_big_generator()
+        for anchor in (f0, f0.inverse()):
+            K = DiscreteInvariantSet(anchor, F(1, 3))
+            assert K.s(0) == F(1, 3)
+            assert [K.s(n) for n in range(-3, 4)] == \
+                [(f0 ** n)(F(1, 3)) for n in range(-3, 4)]
+            assert list(zip(range(3), K.points_desc(K.s(2)))) == \
+                [(0, K.s(1)), (1, K.s(0)), (2, K.s(-1))]
+
+    @pytest.mark.parametrize("seed", [0, 1, F(3, 2), F(-1, 2)])
+    def test_rejects_seed_outside_the_interval(self, seed):
+        with pytest.raises(ValueError, match="must lie in"):
+            DiscreteInvariantSet(f_big_generator(), seed)
 
     def test_rejects_bad_anchor(self):
         a = PLMap.from_points(
@@ -99,9 +113,10 @@ class TestJump:
         # g+(0,2) jumps from slope 1 to 2 at 0: the right scan sees the
         # ratio 1/2, which is negative under the standard order on <2>
         g = bs_g_plus(0, 2)
-        assert jump_sign(g, "right") == Sign.NEGATIVE
-        assert jump_sign(g.inverse(), "right") == Sign.POSITIVE
-        assert jump_sign(g, "left") == Sign.POSITIVE
+        right, left = JumpEngine("right").sign, JumpEngine("left").sign
+        assert right(g) == Sign.NEGATIVE
+        assert right(g.inverse()) == Sign.POSITIVE
+        assert left(g) == Sign.POSITIVE
 
     def test_opposite_order_flips(self, balls5):
         std = JumpEngine(side="right")
@@ -111,23 +126,25 @@ class TestJump:
             assert opp.sign(g) == -std.sign(g)
 
     def test_translations_are_residue(self):
-        assert jump_sign(translation(F(7, 3)), "right") == Sign.RESIDUE
+        assert JumpEngine("right").sign(translation(F(7, 3))) == Sign.RESIDUE
 
 
 class TestPrimeJump:
     def test_pure_powers(self):
         g2 = bs_g_plus(0, 2)
-        assert prime_jump_sign(g2, 2) == Sign.POSITIVE
-        assert prime_jump_sign(g2.inverse(), 2) == Sign.NEGATIVE
-        assert prime_jump_sign(g2, 3) == Sign.RESIDUE
+        two, three = PrimeJumpEngine(2).sign, PrimeJumpEngine(3).sign
+        assert two(g2) == Sign.POSITIVE
+        assert two(g2.inverse()) == Sign.NEGATIVE
+        assert three(g2) == Sign.RESIDUE
 
     def test_mixed_slope(self):
+        two, three = PrimeJumpEngine(2).sign, PrimeJumpEngine(3).sign
         g6 = bs_g_plus(0, 6)
-        assert prime_jump_sign(g6, 2) == Sign.POSITIVE
-        assert prime_jump_sign(g6, 3) == Sign.POSITIVE
+        assert two(g6) == Sign.POSITIVE
+        assert three(g6) == Sign.POSITIVE
         g23 = bs_g_plus(0, F(2, 3))
-        assert prime_jump_sign(g23, 2) == Sign.POSITIVE
-        assert prime_jump_sign(g23, 3) == Sign.NEGATIVE
+        assert two(g23) == Sign.POSITIVE
+        assert three(g23) == Sign.NEGATIVE
 
 
 class TestEscaping:
@@ -146,6 +163,16 @@ class TestEscaping:
         assert ctx.s(2) == f0(f0(F(1, 2)))
         assert f0(ctx.s(-1)) == ctx.s(0)
         assert ctx.s(5) > ctx.s(4) > ctx.s(0) > ctx.s(-3)
+
+    def test_context_is_the_orbit_of_its_seed(self):
+        # one orbit: the context is a discrete invariant set, with no second
+        # orbit of its own
+        ctx = EscapingContext(s0=F(1, 3))
+        assert isinstance(ctx, DiscreteInvariantSet)
+        assert (ctx.anchor, ctx.seed, ctx.s0) == (ctx.f0, F(1, 3), F(1, 3))
+        assert not hasattr(ctx, "orbit")
+        with pytest.raises(ValueError, match="tau1 = 1"):
+            EscapingContext(f_big_generator().inverse())
 
     def test_compare_is_translation_of_sign(self, f_pair):
         a, b = f_pair
