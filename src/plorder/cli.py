@@ -234,6 +234,7 @@ def _family_for(args) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_sign(args) -> int:
+    _frame_radius(args)
     engine = parse_engine(args.engine)
     g = parse_family_word(args.word, _family_for(args))
     print(engine.sign(g).name.capitalize())

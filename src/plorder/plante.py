@@ -49,14 +49,10 @@ def _as_value(v, k: int) -> tuple[int, ...]:
     return v
 
 
-def _vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 class WreathElement:
     """(lamp, shift) in (Z^k wr Z); lamp maps positions to Z^k values."""
 
-    __slots__ = ("lamp", "shift", "k")
+    __slots__ = ("lamp", "shift", "k", "_hash")
 
     def __init__(self, lamp=None, shift: int = 0, k: int = 1):
         clean = {}
@@ -67,6 +63,17 @@ class WreathElement:
         object.__setattr__(self, "lamp", clean)
         object.__setattr__(self, "shift", int(shift))
         object.__setattr__(self, "k", int(k))
+
+    @classmethod
+    def _trusted(cls, lamp: dict, shift: int, k: int) -> "WreathElement":
+        """An element from int positions to nonzero int k-tuples, unchecked:
+        the product or inverse of valid elements.  The hash waits for its
+        first use; every outside input goes through WreathElement()."""
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "lamp", lamp)
+        object.__setattr__(obj, "shift", shift)
+        object.__setattr__(obj, "k", k)
+        return obj
 
     def __setattr__(self, *a):
         raise AttributeError("WreathElement is immutable")
@@ -92,12 +99,16 @@ class WreathElement:
         lamp = dict(self.lamp)
         for x, v in other.lamp.items():
             y = x + self.shift
-            lamp[y] = _vadd(lamp.get(y, (0,) * self.k), v)
-        return WreathElement(lamp, self.shift + other.shift, self.k)
+            v = tuple(map(add, lamp[y], v)) if y in lamp else v
+            if any(v):
+                lamp[y] = v
+            else:
+                del lamp[y]
+        return WreathElement._trusted(lamp, self.shift + other.shift, self.k)
 
     def inverse(self) -> "WreathElement":
         lamp = {x - self.shift: tuple(-c for c in v) for x, v in self.lamp.items()}
-        return WreathElement(lamp, -self.shift, self.k)
+        return WreathElement._trusted(lamp, -self.shift, self.k)
 
     def __pow__(self, n: int) -> "WreathElement":
         if n < 0:
@@ -117,7 +128,13 @@ class WreathElement:
         return (self.lamp, self.shift, self.k) == (other.lamp, other.shift, other.k)
 
     def __hash__(self):
-        return hash((frozenset(self.lamp.items()), self.shift, self.k))
+        # computed on first use and kept, like PLMap's
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((frozenset(self.lamp.items()), self.shift, self.k))
+            object.__setattr__(self, "_hash", h)
+            return h
 
     def top(self):
         """Max of the lamp support, or MINUS_INFINITY for the zero config."""

@@ -21,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cmp_to_key
+from operator import itemgetter
 
 from .plante import MINUS_INFINITY
 from .plgroup import PLMap, int_log2
@@ -95,7 +96,7 @@ class WordPair:
     and disjoint child windows (so every point has a unique block stream).
     """
 
-    __slots__ = ("w1", "w2", "width", "top", "bottom", "child_offsets")
+    __slots__ = ("w1", "w2", "width", "top", "bottom", "child_offsets", "hull_ints")
 
     def __init__(self, w1: str = "10001", w2: str = "01110"):
         if not set(w1 + w2) <= {"0", "1"}:
@@ -125,6 +126,8 @@ class WordPair:
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bottom", bottom)
         object.__setattr__(self, "child_offsets", (off2, off1))
+        # (M, B, T) = (2^W - 1, int(w2, 2), int(w1, 2)), unreduced, for _hull
+        object.__setattr__(self, "hull_ints", ((1 << W) - 1, int(w2, 2), int(w1, 2)))
 
     def __setattr__(self, *a):
         raise AttributeError("WordPair is immutable")
@@ -173,41 +176,46 @@ _Piece = tuple[Fraction, int]  # d + 2^-k * K0
 
 class TailSet:
     """Canonical form: implicit integer translates n + K0 for n < lo and
-    n >= hi, plus explicit pieces inside [lo, hi)."""
+    n >= hi, plus explicit pieces inside [lo, hi).
+
+    Invariant: the canonical pieces are spatially ascending, pairwise
+    disjoint and lie strictly inside [lo, hi), so the tails below lo, the
+    pieces and the tails from hi on are already in order (_materialize)."""
 
     __slots__ = ("pair", "lo", "hi", "pieces")
 
     def __init__(self, pair: WordPair, lo: int = 0, hi: int = 0, pieces=()):
-        # spatial order: offsets alone misorder pieces of different depths
-        pieces = sorted(((Fraction(d), int(k)) for d, k in pieces),
-                        key=lambda p: _hull(*p, pair))
+        pieces = [(Fraction(d), int(k)) for d, k in pieces]
         if any(k < 0 for _, k in pieces):
             raise ValueError("piece depth must be nonnegative")
-        pieces = _merge_siblings(pieces, pair)
+        # spatial order: offsets alone misorder pieces of different depths.
+        # One hull per piece; a list keeps duplicates, which the disjointness
+        # check below rejects
+        hulls = sorted(((_hull(*p, pair), p) for p in pieces), key=itemgetter(0))
+        hulls = _merge_siblings(hulls, pair)
         lo, hi = int(lo), int(hi)
         # absorb extreme integer translates into the implicit tails, but only
         # when no other explicit piece shares their unit cell
-        while pieces and pieces[0] == (Fraction(lo), 0) and \
-                (len(pieces) == 1 or _hull(*pieces[1], pair)[0] >= lo + 1):
-            pieces.pop(0)
+        while hulls and hulls[0][1] == (lo, 0) and \
+                (len(hulls) == 1 or hulls[1][0][0] >= lo + 1):
+            hulls.pop(0)
             lo += 1
-        while pieces and pieces[-1] == (Fraction(hi - 1), 0) and \
-                (len(pieces) == 1 or _hull(*pieces[-2], pair)[1] < hi - 1):
-            pieces.pop()
+        while hulls and hulls[-1][1] == (hi - 1, 0) and \
+                (len(hulls) == 1 or hulls[-2][0][1] < hi - 1):
+            hulls.pop()
             hi -= 1
         if lo == hi:
             # no pieces and no gap between the tails: the base set itself
             lo = hi = 0
-        for (d1, k1), (d2, k2) in zip(pieces, pieces[1:]):
-            if _hull(d1, k1, pair)[1] >= _hull(d2, k2, pair)[0]:
+        for (h1, _), (h2, _) in zip(hulls, hulls[1:]):
+            if h1[1] >= h2[0]:
                 raise ValueError("pieces must be disjoint and sorted")
-        if pieces and not (lo <= _hull(*pieces[0], pair)[0]
-                           and _hull(*pieces[-1], pair)[1] < hi):
+        if hulls and not (lo <= hulls[0][0][0] and hulls[-1][0][1] < hi):
             raise ValueError("pieces must lie inside [lo, hi)")
         object.__setattr__(self, "pair", pair)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        object.__setattr__(self, "pieces", tuple(pieces))
+        object.__setattr__(self, "pieces", tuple(p for _, p in hulls))
 
     def __setattr__(self, *a):
         raise AttributeError("TailSet is immutable")
@@ -296,8 +304,13 @@ def _floor(x: Fraction) -> int:
 
 
 def _hull(d: Fraction, k: int, pair: WordPair) -> tuple[Fraction, Fraction]:
-    s = Fraction(1, 1 << k)
-    return d + s * pair.bottom, d + s * pair.top
+    """[d + 2^-k bottom, d + 2^-k top] as one quotient per end: for d = n/q
+    and (M, B, T) = pair.hull_ints, (n M 2^k + B q) / (q M 2^k) and the
+    same with T."""
+    M, B, T = pair.hull_ints
+    n, q = d.numerator, d.denominator
+    den, base = q * M << k, n * M << k
+    return Fraction(base + B * q, den), Fraction(base + T * q, den)
 
 
 def _children(d: Fraction, k: int, pair: WordPair) -> list[_Piece]:
@@ -305,23 +318,19 @@ def _children(d: Fraction, k: int, pair: WordPair) -> list[_Piece]:
     return [(d + s * off, k + pair.width) for off in pair.child_offsets]
 
 
-def _merge_siblings(pieces: list[_Piece], pair: WordPair) -> list[_Piece]:
-    pieces = sorted(pieces, key=lambda p: _hull(*p, pair))
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(pieces) - 1):
-            (d1, k1), (d2, k2) = pieces[i], pieces[i + 1]
-            if k1 != k2 or k1 < pair.width:
-                continue
-            kp = k1 - pair.width
-            s = Fraction(1, 1 << kp)
-            dp = d1 - s * pair.child_offsets[0]
-            if d2 == dp + s * pair.child_offsets[1]:
-                pieces[i:i + 2] = [(dp, kp)]
-                changed = True
-                break
-    return sorted(pieces, key=lambda p: _hull(*p, pair))
+def _merge_siblings(hulls: list, pair: WordPair) -> list:
+    """Replace adjacent siblings (at depth k >= W, (T - B) / 2^k apart) by
+    their parent, repeatedly, in an ascending list of (hull, piece).  The
+    parent takes their place and its hull spans theirs, so the order holds."""
+    _, B, T = pair.hull_ints
+    out = []
+    for h, (d, k) in hulls:
+        while out and out[-1][1][1] == k >= pair.width \
+                and (d - out[-1][1][0]) * (1 << k) == T - B:
+            h0, (d0, _) = out.pop()
+            h, d, k = (h0[0], h[1]), d0 - Fraction(B, 1 << k), k - pair.width
+        out.append((h, (d, k)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -329,11 +338,10 @@ def _merge_siblings(pieces: list[_Piece], pair: WordPair) -> list[_Piece]:
 # ---------------------------------------------------------------------------
 
 def _materialize(s: TailSet, floor_n: int, top_n: int) -> list[_Piece]:
-    """Ascending explicit pieces covering [floor_n, top_n), tails expanded."""
-    out = [(Fraction(n), 0) for n in range(floor_n, s.lo)]
-    out += list(s.pieces)
-    out += [(Fraction(n), 0) for n in range(s.hi, top_n)]
-    return sorted(out, key=lambda p: _hull(*p, s.pair))
+    """Ascending explicit pieces covering [floor_n, top_n), tails expanded;
+    ascending as built, by the TailSet invariant."""
+    return [(Fraction(n), 0) for n in range(floor_n, s.lo)] + list(s.pieces) \
+        + [(Fraction(n), 0) for n in range(s.hi, top_n)]
 
 
 def _compare(a: TailSet, b: TailSet, depth: int = 2000):
@@ -354,12 +362,14 @@ def _compare(a: TailSet, b: TailSet, depth: int = 2000):
         ta = _hull(*la[-1], pair)[1] if la else None
         tb = _hull(*lb[-1], pair)[1] if lb else None
         if la and lb and ta == tb:
-            # tops tie only along the ancestor spine: refine the coarser
-            guard -= 1
-            if guard <= 0:
-                raise DepthExceeded("comparison refinement guard hit")
-            side = la if la[-1][1] < lb[-1][1] else lb
-            side[-1:] = _children(*side[-1], pair)
+            # tops tie only along the ancestor spine: refine the coarser,
+            # whose top child keeps its top, until the two pieces agree
+            while la[-1] != lb[-1]:
+                guard -= 1
+                if guard <= 0:
+                    raise DepthExceeded("comparison refinement guard hit")
+                side = la if la[-1][1] < lb[-1][1] else lb
+                side[-1:] = _children(*side[-1], pair)
             continue
         if not la:
             return -1, tb

@@ -256,10 +256,14 @@ class TestBadInput:
                       "--radius must be at least 1")
 
     # check and plante read --radius through the same check; they used to
-    # print degenerate reports
+    # print degenerate reports.  sign builds no frame but takes --radius, and
+    # used to accept any value
     @pytest.mark.parametrize("argv", [["check", "--radius", "0"],
                                       ["check", "--radius", "-2"],
-                                      ["plante", "--radius", "-3"]])
+                                      ["plante", "--radius", "-3"],
+                                      ["sign", "--radius", "0", "--word", "a"],
+                                      ["sign", "--engine", "ok", "--radius", "-1",
+                                       "--word", "h"]])
     def test_every_radius_is_checked(self, argv, capsys):
         self._rejects(argv, capsys, "--radius must be at least 1")
 

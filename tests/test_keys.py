@@ -249,6 +249,27 @@ def test_restriction_anchors(name):
 
 
 @pytest.mark.parametrize("seed", [Fraction(1, 2), Fraction(1, 3)])
+def test_escaping_scan_starts_above_every_anchor_breakpoint(seed):
+    # u (tau1 1) and v (tau1 2) break only at or below 1/4, the anchor's
+    # first breakpoint, but their entries differ where the orbit passes
+    # between its breakpoints 1/4 and 1/2; a scan bounded by the first
+    # anchor breakpoint alone starts below them and misorders the keys
+    u = PLMap("unit", [Fraction(1, 8), Fraction(1, 4)],
+              [Fraction(4), Fraction(1), Fraction(1, 2)],
+              [Fraction(0), Fraction(3, 8), Fraction(1, 2)])
+    v = PLMap("unit", [Fraction(3, 16), Fraction(1, 4)],
+              [Fraction(4), Fraction(1), Fraction(1, 4)],
+              [Fraction(0), Fraction(9, 16), Fraction(3, 4)])
+    ctx = EscapingContext(f_big_generator(), seed)
+    assert ctx.anchor.breakpoints == (Fraction(1, 4), Fraction(1, 2))
+    assert (tau1(u), tau1(v)) == (1, 2)
+    engine = EscapingEngine(ctx)
+    for x, y in ((u, v), (v, u), (u, u * v), (v * u, v)):
+        assert _cmp(engine.key(x), engine.key(y)) \
+            == ref_escaping_sign(y.inverse() * x, ctx).value
+
+
+@pytest.mark.parametrize("seed", [Fraction(1, 2), Fraction(1, 3)])
 def test_xg_is_reference_scan(balls5, seed):
     # xg scans g against the identity on its own; the oracle scans the support
     K = DiscreteInvariantSet(f_big_generator(), seed)

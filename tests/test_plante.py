@@ -68,6 +68,54 @@ class TestWreathAlgebra:
         assert WreathElement.identity().top() == MINUS_INFINITY
 
 
+def ref_mul(a, b):
+    """The product through the validating constructor: lamps added as
+    k-tuples, zero sums left for WreathElement() to drop."""
+    lamp = dict(a.lamp)
+    for x, v in b.lamp.items():
+        u = lamp.get(x + a.shift, (0,) * a.k)
+        lamp[x + a.shift] = tuple(p + q for p, q in zip(u, v))
+    return WreathElement(lamp, a.shift + b.shift, a.k)
+
+
+def ref_inverse(a):
+    return WreathElement({x - a.shift: tuple(-c for c in v) for x, v in a.lamp.items()},
+                         -a.shift, a.k)
+
+
+class TestTrustedProducts:
+    """Products and inverses skip validation; they must equal, and hash
+    like, the elements the validating constructor builds."""
+
+    def assert_same(self, w, ref):
+        assert w == ref and hash(w) == hash(ref)
+        assert w.lamp == ref.lamp and all(any(v) for v in w.lamp.values())
+
+    def test_on_radius_six_ball(self, plante_gens):
+        elements = list(ball(plante_gens, 6, identity=WreathElement.identity()))
+        rng = random.Random(7)
+        for x in elements:
+            self.assert_same(x.inverse(), ref_inverse(x))
+            self.assert_same(x * x.inverse(), WreathElement.identity())
+            for y in rng.sample(elements, 8) + list(plante_gens.values()):
+                self.assert_same(x * y, ref_mul(x, y))
+
+    def test_rank_two_lamps_cancel_to_zero(self):
+        rng = random.Random(8)
+        for _ in range(200):
+            a = WreathElement({x: (rng.randint(-1, 1), rng.randint(-1, 1))
+                               for x in range(-2, 3)}, rng.randint(-2, 2), k=2)
+            b = WreathElement({x: (rng.randint(-1, 1), rng.randint(-1, 1))
+                               for x in range(-2, 3)}, rng.randint(-2, 2), k=2)
+            self.assert_same(a * b, ref_mul(a, b))
+            self.assert_same(a.inverse(), ref_inverse(a))
+
+    def test_lamp_times_its_inverse_is_the_identity(self):
+        h0 = WreathElement.lamp_at(0)
+        e = WreathElement.identity()
+        self.assert_same(h0 * h0.inverse(), e)
+
+
 class TestPlanteSign:
     def test_basic_signs(self):
         sign = PlanteEngine().sign

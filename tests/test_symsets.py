@@ -1,13 +1,16 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plorder.plante import MINUS_INFINITY
 from plorder.plgroup import PLMap, ball
 from plorder.preorders import Sign
 from plorder.symsets import (
     NonDyadicMap,
+    _hull,
     SymbolicEngine,
     TailSet,
     WordPair,
@@ -17,6 +20,178 @@ from plorder.symsets import (
     ok_compare,
     property_o_spot,
 )
+
+
+# ---------------------------------------------------------------------------
+# The Fraction oracle: hulls, the canonical form, images and the comparison
+# as they were before each piece's hull became one integer quotient
+# computed once, and before the constructor and the comparison relied on
+# the canonical pieces being ascending instead of sorting them again
+# ---------------------------------------------------------------------------
+
+PAIRS = [("10001", "01110"), ("1000", "0011")]
+
+
+def ref_hull(d, k, pair):
+    s = F(1, 1 << k)
+    return d + s * pair.bottom, d + s * pair.top
+
+
+def ref_children(d, k, pair):
+    s = F(1, 1 << k)
+    return [(d + s * off, k + pair.width) for off in pair.child_offsets]
+
+
+def ref_canonical(pair, lo, hi, pieces):
+    """(lo, hi, pieces) of TailSet(pair, lo, hi, pieces): sort by hull, merge
+    siblings (restarting after each merge), sort again, absorb translates."""
+    def key(p):
+        return ref_hull(*p, pair)
+    pieces = sorted(((F(d), k) for d, k in pieces), key=key)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(pieces) - 1):
+            (d1, k1), (d2, k2) = pieces[i], pieces[i + 1]
+            if k1 != k2 or k1 < pair.width:
+                continue
+            kp = k1 - pair.width
+            s = F(1, 1 << kp)
+            dp = d1 - s * pair.child_offsets[0]
+            if d2 == dp + s * pair.child_offsets[1]:
+                pieces[i:i + 2] = [(dp, kp)]
+                changed = True
+                break
+    pieces.sort(key=key)
+    while pieces and pieces[0] == (lo, 0) and \
+            (len(pieces) == 1 or key(pieces[1])[0] >= lo + 1):
+        pieces.pop(0)
+        lo += 1
+    while pieces and pieces[-1] == (hi - 1, 0) and \
+            (len(pieces) == 1 or key(pieces[-2])[1] < hi - 1):
+        pieces.pop()
+        hi -= 1
+    if lo == hi:
+        lo = hi = 0
+    return lo, hi, tuple(pieces)
+
+
+def ref_image(s, g):
+    """(lo, hi, pieces) of g(S), splitting pieces by Fraction hulls."""
+    exps = [(F(x).numerator.bit_length() - F(x).denominator.bit_length()) for x in g.slopes]
+    if not g.breakpoints:
+        m = int(g.offsets[0])
+        return ref_canonical(s.pair, s.lo + m, s.hi + m, [(d + m, k) for d, k in s.pieces])
+    ext_lo = min(s.lo, int(min(g.breakpoints) // 1))
+    ext_hi = max(s.hi, int(max(g.breakpoints) // 1) + 1)
+    stack = list(s.pieces) + [(F(n), 0) for n in range(ext_lo, s.lo)] \
+        + [(F(n), 0) for n in range(s.hi, ext_hi)]
+    bps = list(g.breakpoints)
+    out = []
+    while stack:
+        d, k = stack.pop()
+        h0, h1 = ref_hull(d, k, s.pair)
+        i, j = bisect_right(bps, h0), bisect_right(bps, h1)
+        if i != j or k < exps[i]:
+            stack.extend(ref_children(d, k, s.pair))
+            continue
+        out.append((g.slopes[i] * d + g(h0) - g.slopes[i] * h0, k - exps[i]))
+    return ref_canonical(s.pair, ext_lo + int(g.offsets[0]), ext_hi + int(g.offsets[-1]), out)
+
+
+def ref_compare(a, b):
+    """(sign, alpha) from materialized pieces sorted by Fraction hulls."""
+    pair = a.pair
+    floor_n, top_n = min(a.lo, b.lo), max(a.hi, b.hi)
+
+    def materialize(s):
+        out = [(F(n), 0) for n in range(floor_n, s.lo)] + list(s.pieces) \
+            + [(F(n), 0) for n in range(s.hi, top_n)]
+        return sorted(out, key=lambda p: ref_hull(*p, pair))
+
+    la, lb = materialize(a), materialize(b)
+    while la or lb:
+        if la and lb and la[-1] == lb[-1]:
+            la.pop()
+            lb.pop()
+            continue
+        ta = ref_hull(*la[-1], pair)[1] if la else None
+        tb = ref_hull(*lb[-1], pair)[1] if lb else None
+        if la and lb and ta == tb:
+            side = la if la[-1][1] < lb[-1][1] else lb
+            side[-1:] = ref_children(*side[-1], pair)
+            continue
+        if not la:
+            return -1, tb
+        if not lb or ta > tb:
+            return 1, ta
+        return -1, tb
+    return 0, MINUS_INFINITY
+
+
+@pytest.fixture(scope="module", params=PAIRS, ids="/".join)
+def pair_ball(request):
+    """The r4 ball of the line generators with its images under one pair."""
+    base = TailSet.base(WordPair(*request.param))
+    elements = list(ball(line_generators(), 4))
+    return base, elements, [base.image(g) for g in elements]
+
+
+class TestAgainstFractionOracle:
+    def test_image(self, pair_ball):
+        base, elements, images = pair_ball
+        for g, img in zip(elements, images):
+            assert (img.lo, img.hi, img.pieces) == ref_image(base, g)
+
+    def test_compare_and_alpha_on_all_pairs(self, pair_ball):
+        _, _, images = pair_ball
+        for A in images:
+            for B in images:
+                sign, top = ref_compare(A, B)
+                assert ok_compare(A, B) == sign
+                assert alpha(A, B) == top
+
+    @given(n=st.integers(-10 ** 6, 10 ** 6), e=st.integers(0, 40),
+           k=st.integers(0, 80), which=st.sampled_from(PAIRS))
+    def test_integer_hull_is_fraction_hull(self, n, e, k, which):
+        pair = WordPair(*which)
+        d = F(n, 1 << e)
+        assert _hull(d, k, pair) == ref_hull(d, k, pair)
+
+    def test_unreduced_block_values(self):
+        # top 8/15 and bottom 3/15 = 1/5: the reduced denominators differ
+        pair = WordPair("1000", "0011")
+        assert (pair.top, pair.bottom) == (F(8, 15), F(1, 5))
+        assert _hull(F(1, 2), 3, pair) == (F(1, 2) + F(1, 40), F(1, 2) + F(1, 15))
+
+
+class TestTailSetInvariants:
+    """The three constructor checks; each used to go untested."""
+
+    def test_negative_depth(self):
+        # checked before any hull is computed (a hull would fail on the shift)
+        with pytest.raises(ValueError, match="piece depth must be nonnegative"):
+            TailSet(WordPair(), 0, 2, [(F(1, 2), -1)])
+
+    @pytest.mark.parametrize("pieces", [
+        [(F(0), 3), (F(0), 3)],                       # a duplicate
+        [(F(0), 0), (F(14, 32), 5)],                  # a piece and its low child
+        [(F(0), 1), (F(3, 16), 3)],                   # hulls that overlap
+        # two siblings merge into (0, 0), which holds the third piece
+        [(F(14, 32), 5), (F(17, 32), 5), (F(17, 32) + F(17, 1024), 10)],
+    ])
+    def test_overlapping_pieces(self, pieces):
+        with pytest.raises(ValueError, match="pieces must be disjoint and sorted"):
+            TailSet(WordPair(), 0, 1, pieces)
+
+    @pytest.mark.parametrize("lo, hi, pieces", [
+        (0, 1, [(F(1), 3)]),
+        (0, 2, [(F(-1), 2)]),
+        (0, 1, [(F(1, 2), 0)]),
+    ])
+    def test_piece_outside_the_gap(self, lo, hi, pieces):
+        with pytest.raises(ValueError, match=r"pieces must lie inside \[lo, hi\)"):
+            TailSet(WordPair(), lo, hi, pieces)
 
 
 @pytest.fixture(scope="module")
