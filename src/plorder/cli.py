@@ -254,7 +254,7 @@ def cmd_classify(args) -> int:
     gens = _family_for(args)
     g = parse_family_word(args.word, gens)
     frame = build_frame(engine, gens, radius=radius)
-    emp = classify_empirical(frame, g, power_bound=args.power_bound)
+    emp = classify_empirical(frame, g)
     if isinstance(g, PLMap):
         # engines without a side (all but jump) are focused at the right end
         pred = classify_predicted(g, getattr(engine, "side", "right"))
@@ -345,6 +345,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_twochain(args) -> int:
+    if args.max_power < 1:
+        raise InputError(f"--max-power must be at least 1, got {args.max_power}")
     f = parse_word(args.f)
     g = parse_word(args.g)
     try:
@@ -449,7 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("classify", help="predicted + empirical dynamics")
     common(sp)
-    sp.add_argument("--power-bound", type=int, default=8)
     sp.set_defaults(fn=cmd_classify)
 
     sp = sub.add_parser("realize", help="emit a sorted orbit frame")

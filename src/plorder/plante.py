@@ -13,11 +13,11 @@ planar real tree on which the wreath product acts.
 
 from __future__ import annotations
 
-from functools import total_ordering
+from functools import partial, total_ordering
 from operator import add
 
 from .exactnum import LatticePreorder
-from .preorders import Sign
+from .preorders import Sign, _key_sign, _profile, _profile_act
 
 
 @total_ordering
@@ -156,49 +156,25 @@ class PlanteEngine:
         self.order = order or LatticePreorder.lex(k)
 
     def key(self, w: WreathElement) -> tuple:
-        """The lamp configuration read from the top: one (s, s*x, values)
-        entry per lamp x, where s is the lamp's sign, then (0,).  Tuple order
-        is the order of the values at the top disagreement, i.e. the sign
-        of v^-1 u; the shift is ignored.  Needs a total order."""
-        zero = (0,) * len(self.order.rows)
-        out = []
-        for x in sorted(w.lamp, reverse=True):
-            vals = self.order.values(w.lamp[x])
-            if vals == zero:
-                raise ValueError("order must be total on nonzero lamp values")
-            s = 1 if vals > zero else -1
-            out.append((s, s * x, vals))
-        out.append((0,))
-        return tuple(out)
+        """The lamp configuration as a step profile read from the top: one
+        jump order.values(lamp) at each lamp position x, and outer value 0,
+        so tuple order is the order of the values at the top disagreement,
+        i.e. the sign of v^-1 u; the shift is ignored.  Needs a total
+        order."""
+        xs = sorted(w.lamp, reverse=True)
+        key = _profile((0,) * len(self.order.rows),
+                       zip(xs, map(self.order.values, map(w.lamp.get, xs))))
+        if len(key) != len(xs) + 2:  # _profile dropped a zero value
+            raise ValueError("order must be total on nonzero lamp values")
+        return key
 
     def act(self, w: WreathElement):
         """k -> key(w x) for k = key(x): w x lights x's lamps moved by
-        w.shift plus w's own lamps, and lamp values add.  Needs a total
-        order, as key does."""
-        own = {s * c: v for s, c, v in self.key(w)[:-1]}
-        shift = w.shift
-        zero = (0,) * len(self.order.rows)
-
-        def act(k: tuple) -> tuple:
-            lamps = dict(own)
-            for s, c, v in k[:-1]:
-                x = s * c + shift
-                u = lamps.get(x)
-                lamps[x] = v if u is None else tuple(map(add, u, v))
-            out = []
-            for x in sorted(lamps, reverse=True):
-                v = lamps[x]
-                if v != zero:
-                    s = 1 if v > zero else -1
-                    out.append((s, s * x, v))
-            out.append((0,))
-            return tuple(out)
-
-        return act
+        w.shift plus w's own lamps, and lamp values add."""
+        return _profile_act(self.key(w), partial(add, w.shift))
 
     def sign(self, w: WreathElement) -> Sign:
-        """The sign of the key's first entry, the top lamp (Residue if none)."""
-        return Sign(self.key(w)[0][0])
+        return _key_sign(self.key(w))
 
     def __repr__(self):
         return f"PlanteEngine(k={self.k}, order={self.order!r})"

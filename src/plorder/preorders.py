@@ -123,79 +123,61 @@ def restriction_sign(g: PLMap, K: DiscreteInvariantSet) -> Sign:
 
 
 # ---------------------------------------------------------------------------
-# Jump preorders: keys are slope profiles read from the outer end
+# Step-profile keys: signed jumps read from the outer end
 # ---------------------------------------------------------------------------
+# The jump and prime engines key g by the step profile y -> value(slope of g
+# at g^-1(y)) for a value additive in the slope, and the Plante engine keys
+# a wreath element by its lamps.  By the chain rule the slope of v^-1 u at
+# u^-1(y) is the slope of u at u^-1(y) over that of v at v^-1(y), so the
+# sign of v^-1 u is the order of the profiles of u and v at their outermost
+# difference, and (g x)' = g'(x) x' makes the profile of g x at z g's at z
+# plus x's at g^-1(z).
 
-def _profile_key(g: PLMap, side: str, value) -> tuple:
-    """Step profile y -> value(slope of g at g^-1(y)), read from the outer end.
+def _profile(outer: tuple, jumps) -> tuple:
+    """The key (outer, (s, s*t, v), ..., (0,)) of a step profile: its outer
+    value, then one entry per nonzero jump v at position t, for (t, v) in
+    decreasing t, where s = +-1 is the sign of v.
 
-    The key is (value(outer slope), (s, s*y, v), ..., (0,)): one entry per
-    point y = g(b) where the value changes, to v, in direction s = +-1
-    (-s*y on the left side, where values are read to the right of b).
-    By the chain rule the slope of v^-1 u at u^-1(y) is the slope of u at
-    u^-1(y) over that of v at v^-1(y), so for a value additive in the slope
-    the tuple order of two keys is the sign of v^-1 u at its outermost jump.
+    Two profiles that agree above a point have the same entries there, and
+    at that point comparing the jumps compares the summed values, so tuple
+    order is the order of the profiles at their outermost difference.
     """
-    bps, slopes, offsets = g.breakpoints, g.slopes, g.offsets
-    if side == "right":
-        order, d, sy = range(len(bps) - 1, -1, -1), 0, 1
-    else:
-        order, d, sy = range(len(bps)), 1, -1
-    prev = value(slopes[-1] if side == "right" else slopes[0])
-    out = [prev]
-    for i in order:
-        v = value(slopes[i + d])
-        if v != prev:
-            s = 1 if v > prev else -1
-            out.append((s, s * sy * (slopes[i] * bps[i] + offsets[i]), v))
-            prev = v
+    zero = (0,) * len(outer)
+    out = [outer]
+    for t, v in jumps:
+        if v != zero:
+            s = 1 if v > zero else -1
+            out.append((s, s * t, v))
     out.append((0,))
     return tuple(out)
 
 
-def _profile_act(g: PLMap, gkey: tuple, side: str):
-    """k -> the profile key of g x for k = the profile key of x.
-
-    By the chain rule (g x)' = g'(x) x', so for a value additive in the
-    slope the profile of g x at z is g's profile at z plus x's at g^-1(z):
-    x's steps move to their images under g and merge with g's steps.  A
-    step (s, c, v) lies at t = s*c, which is y (right side) or -y (left
-    side), and steps are read in decreasing t.
-    """
-    bps, slopes, offsets = g.breakpoints, g.slopes, g.offsets
-    if side == "right":
-        def push(t):
-            i = bisect_right(bps, t)
-            return slopes[i] * t + offsets[i]
-    else:
-        def push(t):  # t = -y goes to -g(y)
-            i = bisect_right(bps, -t)
-            return slopes[i] * t - offsets[i]
-    gsteps = [(s * c, v) for s, c, v in gkey[1:-1]]
-    ng, g0 = len(gsteps), gkey[0]
+def _profile_act(gkey: tuple, push):
+    """k -> the key of g x for gkey = key(g) and k = key(x), when the
+    profile of g x is g's plus x's moved by g: x's jumps go to their
+    positions' images under push and merge with g's, jumps on one point
+    add, and the outer values add."""
+    g0, gents = gkey[0], gkey[1:-1]
+    zero = (0,) * len(g0)
+    gts = [s * c for s, c, _ in gents]
+    ng = len(gts)
 
     def act(k: tuple) -> tuple:
-        xsteps = [(push(s * c), v) for s, c, v in k[1:-1]]
-        nx = len(xsteps)
-        vg, vx = g0, k[0]
-        prev = tuple(map(add, vg, vx))
-        out = [prev]
-        i = j = 0
-        while i < ng or j < nx:
-            if j == nx or (i < ng and gsteps[i][0] >= xsteps[j][0]):
-                t, vg = gsteps[i]
+        out = [tuple(map(add, g0, k[0]))]
+        i = 0
+        for s, c, v in k[1:-1]:
+            t = push(s * c)
+            while i < ng and gts[i] > t:
+                out.append(gents[i])
                 i += 1
-                if j < nx and xsteps[j][0] == t:
-                    vx = xsteps[j][1]
-                    j += 1
-            else:
-                t, vx = xsteps[j]
-                j += 1
-            v = tuple(map(add, vg, vx))
-            if v != prev:
-                s = 1 if v > prev else -1
-                out.append((s, s * t, v))
-                prev = v
+            if i < ng and gts[i] == t:
+                v = tuple(map(add, gents[i][2], v))
+                i += 1
+                if v == zero:
+                    continue
+                s = 1 if v > zero else -1
+            out.append((s, s * t, v))
+        out += gents[i:]
         out.append((0,))
         return tuple(out)
 
@@ -208,11 +190,40 @@ def _key_sign(key: tuple) -> Sign:
     return Sign((key > ident) - (key < ident))
 
 
+def _breaks(g: PLMap, side: str):
+    """(t, inner slope, outer slope) per breakpoint b of g, read from the
+    outer end: t = g(b) on the right and -g(b) on the left, and the outer
+    slope is the one on b's side toward the outer end."""
+    slopes, bps = g.slopes, g.breakpoints
+    if not bps:  # affine maps, the usual prime-engine input, build no zips
+        return ()
+    ys = [s * b + c for s, b, c in zip(slopes, bps, g.offsets)]
+    if side == "right":
+        return zip(reversed(ys), slopes[-2::-1], slopes[:0:-1])
+    return zip([-y for y in ys], slopes[1:], slopes)
+
+
+def _push(g: PLMap, side: str):
+    """t -> the position of g(y), for t the position of y."""
+    bps, slopes, offsets = g.breakpoints, g.slopes, g.offsets
+    if side == "right":
+        def push(t):
+            i = bisect_right(bps, t)
+            return slopes[i] * t + offsets[i]
+    else:
+        def push(t):  # t = -y goes to -g(y)
+            i = bisect_right(bps, -t)
+            return slopes[i] * t - offsets[i]
+    return push
+
+
 class JumpEngine:
     """Jump preorder; by default on <2> with the lexicographic order.  The
-    key values a slope by the row values of slope / outer slope, memoised
-    per engine by that ratio (a ratio outside the group raises and is not
-    stored)."""
+    key reads slopes relative to the outer slope, so its outer value is 0,
+    and its jump at a breakpoint b is the row values of D^-g(b) / D^+g(b)
+    on the right side (the factor jump_cocycle multiplies) or
+    D^+g(b) / D^-g(b) on the left, memoised per engine by that ratio (a
+    ratio outside the group raises and is not stored)."""
 
     def __init__(self, side: str = "right",
                  group: SlopeGroup | None = None,
@@ -233,12 +244,14 @@ class JumpEngine:
         return v
 
     def key(self, g: PLMap) -> tuple:
-        outer = g.slopes[-1] if self.side == "right" else g.slopes[0]
-        return _profile_key(g, self.side, lambda slope: self._value(slope / outer))
+        return _profile((0,) * len(self.order.rows),
+                        [(t, self._value(a / b))
+                         for t, a, b in _breaks(g, self.side)])
 
     def act(self, g: PLMap):
-        """k -> key(g x) for k = key(x), by the chain rule."""
-        return _profile_act(g, self.key(g), self.side)
+        """k -> key(g x) for k = key(x): by the chain rule x's jumps move
+        through g and add to g's."""
+        return _profile_act(self.key(g), _push(g, self.side))
 
     def sign(self, g: PLMap) -> Sign:
         return _key_sign(self.key(g))
@@ -263,13 +276,17 @@ class PrimeJumpEngine:
         self.q = q
 
     def key(self, g: PLMap) -> tuple:
-        """Profile of nu_q of the left derivative, read from the top; the
-        left derivative is constant on each piece's half-open interval."""
-        return _profile_key(g, "right", lambda slope: (valuation(slope, self.q),))
+        """Profile of nu_q of the left derivative, read from the top: the
+        outer value is nu_q of the last slope, and each jump the difference
+        of nu_q on the two pieces at a breakpoint."""
+        q = self.q
+        return _profile((valuation(g.slopes[-1], q),),
+                        [(t, (valuation(a, q) - valuation(b, q),))
+                         for t, a, b in _breaks(g, "right")])
 
     def act(self, g: PLMap):
         """k -> key(g x) for k = key(x); nu_q is additive in the slope."""
-        return _profile_act(g, self.key(g), "right")
+        return _profile_act(self.key(g), _push(g, "right"))
 
     def sign(self, g: PLMap) -> Sign:
         return _key_sign(self.key(g))

@@ -282,7 +282,7 @@ def classify_predicted(g: PLMap, side: str = "right") -> DynType:
 
 
 # ---------------------------------------------------------------------------
-# Cross-free covers and homothety evidence
+# Cross-free covers
 # ---------------------------------------------------------------------------
 
 def cf_cover_check(frame: OrbitFrame, intervals) -> dict:
@@ -300,47 +300,3 @@ def cf_cover_check(frame: OrbitFrame, intervals) -> dict:
     return {"crossFree": crossing is None,
             "witness": crossing,
             "covering": set(range(len(frame))) <= covered}
-
-
-class NoFixedPoint(ValueError):
-    pass
-
-
-def homothety_witness(engine, g, test_points, fixed_point=None,
-                      max_power: int = 16) -> bool:
-    """Homothetic-type evidence: around a fixed coset of g, every other test
-    point is eventually pushed past all the rest by some power of g (or of
-    its inverse, for the contracting direction).
-
-    When fixed_point is given it must be fixed by g (NoFixedPoint
-    otherwise); when omitted, a fixed test point is searched for, and False
-    is returned if there is none.
-    """
-    pts = list(test_points)
-    keys = [engine.key(x) for x in pts]
-    act = engine.act(g)
-    if fixed_point is not None:
-        center = engine.key(fixed_point)
-        if act(center) != center:
-            raise NoFixedPoint("g does not fix the designated point")
-    else:
-        center = next((k for k in keys if act(k) == k), None)
-        if center is None:
-            return False
-
-    def escapes(h_act) -> bool:
-        for x, kx in zip(pts, keys):
-            side = _cmp(kx, center)
-            if side == 0:
-                continue
-            ky = kx
-            for _ in range(max_power):
-                ky = h_act(ky)
-                if all(_cmp(ky, kp) == side
-                       for p, kp in zip(pts, keys) if p is not x):
-                    break
-            else:
-                return False
-        return True
-
-    return escapes(act) or escapes(engine.act(g.inverse()))

@@ -267,6 +267,12 @@ class TestBadInput:
     def test_every_radius_is_checked(self, argv, capsys):
         self._rejects(argv, capsys, "--radius must be at least 1")
 
+    # twochain used to search no power at all and report a property failure
+    @pytest.mark.parametrize("power", ["0", "-3"])
+    def test_twochain_max_power_is_checked(self, power, capsys):
+        self._rejects(["twochain", "f0", "a", "--max-power", power], capsys,
+                      "--max-power must be at least 1")
+
     # options an engine does not take used to be dropped, or the last of two
     # sides silently won
     @pytest.mark.parametrize("engine, word, reason", [
@@ -310,6 +316,13 @@ class TestBadInput:
                   "--horograding", "decreasing"])
         assert e.value.code == 2
         assert "unrecognized arguments: --horograding" in capsys.readouterr().err
+
+    def test_power_bound_is_gone(self, capsys):
+        # a bound below 1 read Inconclusive, and a large one never ended
+        with pytest.raises(SystemExit) as e:
+            main(["classify", "--word", "t(1)", "--power-bound", "8"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --power-bound" in capsys.readouterr().err
 
     def test_jump_rejects_any_slope_outside_two(self, capsys):
         # the outermost jump (slope 2 at 1) alone would read Negative

@@ -17,7 +17,7 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-from plorder.exactnum import LatticePreorder
+from plorder.exactnum import LatticePreorder, SlopeGroup
 from plorder.plante import PlanteEngine, WreathElement
 from plorder.plgroup import (
     PLMap,
@@ -138,7 +138,9 @@ def _cmp(a, b):
 
 
 # ---------------------------------------------------------------------------
-# Cases: the nine axiom engines plus the symbolic engine
+# Cases: the nine axiom engines, the symbolic engine, and jump engines on
+# <2, 3>, whose values have rank 2 under lex(2) and rank 1 under the
+# non-total order [(1, 0)]
 # ---------------------------------------------------------------------------
 
 PAIRS = 1000
@@ -149,11 +151,17 @@ ELEMENTS = 400
 def cases(axiom_engines, balls5):
     out = {name: (eng, balls5[pool]) for name, (eng, pool) in axiom_engines.items()}
     out["ok"] = (SymbolicEngine(), list(ball(line_generators(), 4)))
+    bs23 = list(ball({"t(1)": translation(1), "g+(0,2)": bs_g_plus(0, 2),
+                      "g+(0,3)": bs_g_plus(0, 3)}, 4))
+    for name, order in (("lex", LatticePreorder.lex(2)),
+                        ("ker", LatticePreorder([(1, 0)]))):
+        out[f"jump23:{name}"] = (JumpEngine(group=SlopeGroup([2, 3]), order=order), bs23)
     return out
 
 
 CASE_NAMES = ["restriction", "jump:right,lex", "jump:right,opp", "jump:left,lex",
-              "jump:left,opp", "prime:2", "prime:3", "plante", "escaping", "ok"]
+              "jump:left,opp", "prime:2", "prime:3", "plante", "escaping", "ok",
+              "jump23:lex", "jump23:ker"]
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
@@ -296,13 +304,14 @@ def test_jump_keys_reject_slopes_outside_the_group():
 
 
 def test_jump_memo_keeps_ratios_not_slopes():
-    # slopes 3 and 6 lie outside <2>, but their ratio 1/2 does not
+    # slopes 3 and 6 lie outside <2>, but their ratio 1/2 does not; the
+    # memo holds one ratio per breakpoint, D^-g(b) / D^+g(b)
     g = bs_g(0, 3) * bs_g_plus(0, 2)
     engine = JumpEngine(side="right")
     engine.key(bs_g_plus(0, 2))  # warm the memo
     assert engine.sign(g) is Sign.NEGATIVE
     assert engine.sign(g) is Sign.NEGATIVE
-    assert set(engine._values) == {1, Fraction(1, 2)}
+    assert set(engine._values) == {Fraction(1, 2)}
 
 
 def _in_two(ratio):
@@ -339,6 +348,11 @@ ACT_TRIPLES = 200
 def act_cases(cases, balls5):
     out = dict(cases)
     out["plante:opp"] = (PlanteEngine(order=LatticePreorder([(-1,)])), balls5["plante"])
+    lamps2 = {"t": WreathElement.shift_by(1, k=2),
+              "h0": WreathElement.lamp_at(0, (1, 0), k=2),
+              "h1": WreathElement.lamp_at(0, (0, 1), k=2)}
+    out["plante:k2"] = (PlanteEngine(k=2),
+                        list(ball(lamps2, 4, identity=WreathElement.identity(k=2))))
     return out
 
 
@@ -347,7 +361,7 @@ def _identity(pool):
     return some * some.inverse()
 
 
-@pytest.mark.parametrize("name", CASE_NAMES + ["plante:opp"])
+@pytest.mark.parametrize("name", CASE_NAMES + ["plante:opp", "plante:k2"])
 def test_act_is_key_of_product(act_cases, name):
     engine, pool = act_cases[name]
     rng = random.Random(f"act/{name}")
@@ -359,7 +373,7 @@ def test_act_is_key_of_product(act_cases, name):
         assert engine.act(g)(engine.key(x)) == engine.key(g * x), (g, x)
 
 
-@pytest.mark.parametrize("name", CASE_NAMES + ["plante:opp"])
+@pytest.mark.parametrize("name", CASE_NAMES + ["plante:opp", "plante:k2"])
 def test_act_is_an_action(act_cases, name):
     engine, pool = act_cases[name]
     rng = random.Random(f"act-law/{name}")

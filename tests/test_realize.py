@@ -17,14 +17,12 @@ from plorder.plgroup import (
 from plorder.preorders import JumpEngine
 from plorder.realize import (
     DynType,
-    NoFixedPoint,
     OrbitFrame,
     build_frame,
     cf_cover_check,
     classify_empirical,
     classify_predicted,
     consistent,
-    homothety_witness,
     induced_map,
 )
 
@@ -372,23 +370,3 @@ class TestCrossFreeCovers:
                     intervals.append((hit[0], hit[-1]))
         r = cf_cover_check(frame, intervals)
         assert r["crossFree"]
-
-
-class TestHomothetyWitness:
-    def test_plante_shift(self, plante_gens):
-        eng = PlanteEngine()
-        pts = list(ball(plante_gens, 2, identity=WreathElement.identity()))
-        t, h0 = plante_gens["t"], plante_gens["h0"]
-        assert homothety_witness(eng, t, pts)
-        assert not homothety_witness(eng, h0, pts)
-        assert not homothety_witness(eng, WreathElement.identity(), pts)
-
-    def test_designated_fixed_point(self, plante_gens):
-        eng = PlanteEngine()
-        pts = list(ball(plante_gens, 2, identity=WreathElement.identity()))
-        t = plante_gens["t"]
-        assert homothety_witness(eng, t, pts,
-                                 fixed_point=WreathElement.identity())
-        with pytest.raises(NoFixedPoint):
-            homothety_witness(eng, t, pts,
-                              fixed_point=WreathElement.lamp_at(0))
