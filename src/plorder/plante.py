@@ -14,9 +14,11 @@ planar real tree on which the wreath product acts.
 from __future__ import annotations
 
 from functools import partial, total_ordering
+from itertools import takewhile, zip_longest
 from operator import add
 
 from .exactnum import LatticePreorder
+from .plgroup import power
 from .preorders import Sign, _key_sign, _profile, _profile_act
 
 
@@ -50,25 +52,23 @@ def _as_value(v, k: int) -> tuple[int, ...]:
 
 
 class WreathElement:
-    """(lamp, shift) in (Z^k wr Z); lamp maps positions to Z^k values."""
+    """(lamp, shift) in (Z^k wr Z); lamp maps positions to nonzero Z^k
+    values and iterates from the top position down."""
 
     __slots__ = ("lamp", "shift", "k", "_hash")
 
     def __init__(self, lamp=None, shift: int = 0, k: int = 1):
-        clean = {}
-        for x, v in (lamp or {}).items():
-            v = _as_value(v, k)
-            if any(v):
-                clean[int(x)] = v
-        object.__setattr__(self, "lamp", clean)
+        clean = {int(x): w for x, v in (lamp or {}).items()
+                 if any(w := _as_value(v, k))}
+        object.__setattr__(self, "lamp", dict(sorted(clean.items(), reverse=True)))
         object.__setattr__(self, "shift", int(shift))
         object.__setattr__(self, "k", int(k))
 
     @classmethod
     def _trusted(cls, lamp: dict, shift: int, k: int) -> "WreathElement":
-        """An element from int positions to nonzero int k-tuples, unchecked:
-        the product or inverse of valid elements.  The hash waits for its
-        first use; every outside input goes through WreathElement()."""
+        """An element from int positions, top-down, to nonzero int k-tuples,
+        unchecked: the product or inverse of valid elements.  The hash waits
+        for its first use; every outside input goes through WreathElement()."""
         obj = object.__new__(cls)
         object.__setattr__(obj, "lamp", lamp)
         object.__setattr__(obj, "shift", shift)
@@ -96,31 +96,28 @@ class WreathElement:
     def __mul__(self, other: "WreathElement") -> "WreathElement":
         if self.k != other.k:
             raise ValueError("mixed lamp dimensions")
-        lamp = dict(self.lamp)
-        for x, v in other.lamp.items():
-            y = x + self.shift
-            v = tuple(map(add, lamp[y], v)) if y in lamp else v
-            if any(v):
-                lamp[y] = v
-            else:
-                del lamp[y]
-        return WreathElement._trusted(lamp, self.shift + other.shift, self.k)
+        lamp, shift = self.lamp, self.shift
+        if other.lamp:  # merge other's lamps, moved by shift, into self's
+            mine, lamp = list(reversed(lamp.items())), {}  # pop() gives the top
+            for y, v in other.lamp.items():
+                y += shift
+                while mine and mine[-1][0] >= y:
+                    x, u = mine.pop()
+                    if x > y:
+                        lamp[x] = u
+                    else:
+                        v = tuple(map(add, u, v))
+                if any(v):
+                    lamp[y] = v
+            lamp.update(reversed(mine))
+        return WreathElement._trusted(lamp, shift + other.shift, self.k)
 
     def inverse(self) -> "WreathElement":
         lamp = {x - self.shift: tuple(-c for c in v) for x, v in self.lamp.items()}
         return WreathElement._trusted(lamp, -self.shift, self.k)
 
     def __pow__(self, n: int) -> "WreathElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = WreathElement.identity(self.k)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, lambda: WreathElement.identity(self.k))
 
     def __eq__(self, other):
         if not isinstance(other, WreathElement):
@@ -132,17 +129,17 @@ class WreathElement:
         try:
             return self._hash
         except AttributeError:
-            h = hash((frozenset(self.lamp.items()), self.shift, self.k))
+            h = hash((tuple(self.lamp.items()), self.shift, self.k))
             object.__setattr__(self, "_hash", h)
             return h
 
     def top(self):
         """Max of the lamp support, or MINUS_INFINITY for the zero config."""
-        return max(self.lamp) if self.lamp else MINUS_INFINITY
+        return next(iter(self.lamp), MINUS_INFINITY)
 
     def __repr__(self):
         items = ", ".join(f"{x}:{v if self.k > 1 else v[0]}"
-                          for x, v in sorted(self.lamp.items()))
+                          for x, v in reversed(self.lamp.items()))
         return f"WreathElement({{{items}}}, shift={self.shift})"
 
 
@@ -161,10 +158,9 @@ class PlanteEngine:
         so tuple order is the order of the values at the top disagreement,
         i.e. the sign of v^-1 u; the shift is ignored.  Needs a total
         order."""
-        xs = sorted(w.lamp, reverse=True)
         key = _profile((0,) * len(self.order.rows),
-                       zip(xs, map(self.order.values, map(w.lamp.get, xs))))
-        if len(key) != len(xs) + 2:  # _profile dropped a zero value
+                       zip(w.lamp, map(self.order.values, w.lamp.values())))
+        if len(key) != len(w.lamp) + 2:  # _profile dropped a zero value
             raise ValueError("order must be total on nonzero lamp values")
         return key
 
@@ -184,44 +180,41 @@ class PlanteEngine:
 # Ultrametric kernel
 # ---------------------------------------------------------------------------
 
-def delta_kernel(a: WreathElement, b: WreathElement, iota=None):
-    """iota(top disagreement position) of the two configurations;
-    MINUS_INFINITY when the configurations agree.  Satisfies the strong
-    triangle inequality and shift-equivariance for order-preserving iota."""
-    zero = (0,) * a.k
-    diff = [x for x in set(a.lamp) | set(b.lamp)
-            if a.lamp.get(x, zero) != b.lamp.get(x, zero)]
-    if not diff:
-        return MINUS_INFINITY
-    top = max(diff)
-    return top if iota is None else iota(top)
+def delta_kernel(a: WreathElement, b: WreathElement):
+    """The top position where the configurations differ, read off the first
+    difference of their top-down listings; MINUS_INFINITY when they agree.
+    Ultrametric and shift-equivariant."""
+    for p, q in zip_longest(a.lamp.items(), b.lamp.items(), fillvalue=(MINUS_INFINITY,)):
+        if p != q:
+            return max(p[0], q[0])
+    return MINUS_INFINITY
 
 
 # ---------------------------------------------------------------------------
 # Agreement sets
 # ---------------------------------------------------------------------------
 
+def _above(items, cut: int) -> tuple:
+    """The prefix of a top-down lamp listing strictly above the cut."""
+    return tuple(takewhile(lambda e: e[0] > cut, items))
+
+
 class CSet:
-    """Configurations whose lamp agrees with sigma strictly above the cut."""
+    """Configurations whose lamp agrees with sigma strictly above the cut.
+    The pattern is sigma's lamps above the cut, top-down."""
 
     __slots__ = ("cut", "pattern", "k")
 
     def __init__(self, sigma: WreathElement, cut: int):
-        pattern = tuple(sorted((x, v) for x, v in sigma.lamp.items() if x > cut))
         object.__setattr__(self, "cut", int(cut))
-        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "pattern", _above(sigma.lamp.items(), cut))
         object.__setattr__(self, "k", sigma.k)
 
     def __setattr__(self, *a):
         raise AttributeError("CSet is immutable")
 
     def contains(self, tau: WreathElement) -> bool:
-        zero = (0,) * self.k
-        want = dict(self.pattern)
-        for x in set(want) | {x for x in tau.lamp if x > self.cut}:
-            if tau.lamp.get(x, zero) != want.get(x, zero):
-                return False
-        return True
+        return _above(tau.lamp.items(), self.cut) == self.pattern
 
     def relation(self, other: "CSet") -> str:
         """'equal' | 'subset' | 'superset' | 'disjoint'.
@@ -233,11 +226,8 @@ class CSet:
         """
         lo, hi = (self, other) if self.cut >= other.cut else (other, self)
         # hi has the lower cut, hence the stronger constraint
-        zero = (0,) * self.k
-        wl, wh = dict(lo.pattern), dict(hi.pattern)
-        for x in {x for x in set(wl) | set(wh) if x > lo.cut}:
-            if wl.get(x, zero) != wh.get(x, zero):
-                return "disjoint"
+        if _above(hi.pattern, lo.cut) != lo.pattern:
+            return "disjoint"
         if self.cut == other.cut:
             return "equal"
         return "superset" if self is lo else "subset"
@@ -263,7 +253,7 @@ def _nesting_forest(csets) -> dict:
     cuts = sorted({cut for cut, _, _ in nodes})
     forest = {}
     for (cut, pattern, k), node in nodes.items():
-        larger = (nodes.get((d, tuple(e for e in pattern if e[0] > d), k))
+        larger = (nodes.get((d, _above(pattern, d), k))
                   for d in cuts if d > cut)
         forest[node] = next((p for p in larger if p is not None), None)
     return forest

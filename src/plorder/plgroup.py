@@ -246,16 +246,7 @@ class PLMap:
         return PLMap._trusted(self.model, bps, slopes, offsets)
 
     def __pow__(self, n: int) -> "PLMap":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = PLMap.identity(self.model)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return power(self, n, lambda: PLMap.identity(self.model))
 
     def __eq__(self, other):
         if not isinstance(other, PLMap):
@@ -366,6 +357,21 @@ class PLMap:
         return cls(model, bps, slopes, offsets)
 
 
+def power(x, n: int, identity):
+    """x ** n by square-and-multiply, identity() for n = 0.  No product has
+    an identity factor and no square follows n's top bit."""
+    if n < 0:
+        x, n = x.inverse(), -n
+    out = None
+    while n:
+        if n & 1:
+            out = x if out is None else out * x
+        n >>= 1
+        if n:
+            x = x * x
+    return identity() if out is None else out
+
+
 # ---------------------------------------------------------------------------
 # Germ homomorphisms for F (unit model, slopes in <2>)
 # ---------------------------------------------------------------------------
@@ -449,23 +455,18 @@ def bs_g_minus(a, lam) -> PLMap:
     return PLMap("line", [a], [lam, 1], [(1 - lam) * a, 0])
 
 
-def standard_generators(family: str, module_gens=(1,), slope_gens=(2,)) -> dict:
+def standard_generators(family: str) -> dict:
     """Named generating sets.
 
     family "thompsonF": the pair (a, b) plus the one-bump generator f0.
-    family "bieriStrebel": translations t_a plus g(0,lam), g+(0,lam).
+    family "bieriStrebel": the translation t(1) plus g(0,2), g+(0,2).
     """
     if family == "thompsonF":
         a, b = thompson_f_pair()
         return {"a": a, "b": b, "f0": f_big_generator()}
     if family == "bieriStrebel":
-        out = {}
-        for a in module_gens:
-            out[f"t({a})"] = translation(a)
-        for lam in slope_gens:
-            out[f"g(0,{lam})"] = bs_g(0, lam)
-            out[f"g+(0,{lam})"] = bs_g_plus(0, lam)
-        return out
+        return {"t(1)": translation(1), "g(0,2)": bs_g(0, 2),
+                "g+(0,2)": bs_g_plus(0, 2)}
     raise ValueError(f"unknown family {family!r}")
 
 

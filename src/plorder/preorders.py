@@ -81,37 +81,32 @@ class DiscreteInvariantSet:
             m += step
         return cache[n]
 
+    def index(self, x: Fraction) -> int:
+        """The least n with s(n) >= x, for x in (0, 1)."""
+        s, n = self.s, 0
+        while s(n) < x:
+            n += 1
+        while s(n - 1) >= x:
+            n -= 1
+        return n
+
     def points_desc(self, upper: Fraction):
         """K-points strictly below upper, in decreasing order (lazy).  K
         accumulates at 0 and 1, so upper must lie in (0, 1)."""
         if not 0 < upper < 1:
             raise ValueError(f"upper = {upper} must lie in (0, 1)")
-        s, n = self.s, 0
-        while s(n) < upper:
-            n += 1
-        while s(n) >= upper:
-            n -= 1
-        yield from map(s, count(n, -1))
+        yield from map(self.s, count(self.index(upper) - 1, -1))
 
 
 def xg(g: PLMap, K: DiscreteInvariantSet):
-    """sup{x in K : g(x) != x}, or None when g fixes K pointwise.
-    Requires tau1(g) = 0 (trivial right germ): g is then the identity above
-    its highest breakpoint, and linear through 0 below its lowest one, so
-    the first K-point there decides."""
+    """sup{x in K : g(x) != x}, or None when g fixes K pointwise: s(n) for
+    n the top index of the restriction scan of g against the identity.
+    Requires tau1(g) = 0 (trivial right germ)."""
     if g.model != "unit":
         raise NotInFPlus("unit-interval maps only")
-    t = tau1(g)
-    if t:
-        raise NotInFPlus(f"tau1 = {t}")
-    bps = g.breakpoints
-    if not bps:
-        return None
-    for x in K.points_desc(bps[-1]):
-        if g(x) != x:
-            return x
-        if x <= bps[0]:
-            return None
+    engine = RestrictionEngine(K)
+    n = engine._scan(engine._bounds(g), engine._identity)[1]
+    return None if n is None else K.s(n)
 
 
 def restriction_sign(g: PLMap, K: DiscreteInvariantSet) -> Sign:
@@ -327,34 +322,33 @@ class EscapingEngine:
 
     def __init__(self, ctx: DiscreteInvariantSet | None = None):
         self.ctx = ctx or EscapingContext()
-        self._key = cmp_to_key(self._compare)
+        self._key = cmp_to_key(lambda a, b: self._scan(a, b)[0])
         self._identity = self._bounds(_UNIT)
 
     def _bounds(self, g: PLMap):
-        """(g, tau1(g), hi, lo): the entry of g is s_n for every n >= hi, and
-        for n <= lo its orbit point lies below every breakpoint.  The scan
-        for lo only ends for unit-interval maps, whose breakpoints lie in
-        (0, 1)."""
+        """(g, tau1(g), hi, lo, entry): g's entry(n) = g(s_{n - tau1(g)}), the
+        orbit s itself for the identity, is s_n for every n >= hi, and for
+        n <= lo its orbit point lies below every breakpoint.  Unit-interval
+        maps only, whose breakpoints lie in (0, 1)."""
         if g.model != "unit":
             raise ModelMismatch("unit-interval maps only")
-        s, t = self.ctx.s, tau1(g)
-        bps = g.breakpoints + self.ctx.anchor.breakpoints
-        top, bottom = max(bps), min(bps)
-        hi = lo = 0
-        while s(hi) < top:
-            hi += 1
-        while s(lo) > bottom:
-            lo -= 1
-        return g, t, hi + max(t, 0), lo + t
+        ctx, t, bps = self.ctx, tau1(g), g.breakpoints
+        s, anchor = ctx.s, ctx.anchor.breakpoints
+        top, bottom, entry = anchor[-1], anchor[0], s  # the identity's entries
+        if bps:
+            top, bottom = max(top, bps[-1]), min(bottom, bps[0])
+            entry = lambda n: g(s(n - t))
+        return g, t, ctx.index(top) + max(t, 0), ctx.index(bottom) - 1 + t, entry
 
-    def _compare(self, a, b) -> int:
-        (u, tu, hu, lu), (v, tv, hv, lv) = a, b
-        s = self.ctx.s
+    def _scan(self, a, b):
+        """(sign, n) for n the top index where the entries of a and b differ,
+        sign > 0 when a's is the larger there; (0, None) when they agree."""
+        (_, _, hu, lu, u), (_, _, hv, lv, v) = a, b
         for n in range(max(hu, hv) - 1, min(lu, lv) - 1, -1):
-            x, y = u(s(n - tu)), v(s(n - tv))
+            x, y = u(n), v(n)
             if x != y:
-                return 1 if x > y else -1
-        return 0
+                return (1 if x > y else -1), n
+        return 0, None
 
     def key(self, g: PLMap):
         return self._key(self._bounds(g))
@@ -364,7 +358,7 @@ class EscapingEngine:
         return lambda k: self.key(g * k.obj[0])
 
     def sign(self, g: PLMap) -> Sign:
-        return Sign(self._compare(self._bounds(g), self._identity))
+        return Sign(self._scan(self._bounds(g), self._identity)[0])
 
     def __repr__(self):
         return f"{type(self).__name__}(s0={self.ctx.seed})"
@@ -378,15 +372,15 @@ class RestrictionEngine(EscapingEngine):
     different germs are not compared.  Build it as RestrictionEngine(K);
     K is its ctx."""
 
-    def _compare(self, a, b) -> int:
+    def _scan(self, a, b):
         if a[1] != b[1]:
             raise NotInFPlus(f"tau1 = {a[1] - b[1]}")
-        return super()._compare(a, b)
+        return super()._scan(a, b)
 
     # its own sign, not an inherited one: perfbench's tracer patches the
     # sign in each engine's class body
     def sign(self, g: PLMap) -> Sign:
-        return Sign(self._compare(self._bounds(g), self._identity))
+        return Sign(self._scan(self._bounds(g), self._identity)[0])
 
 
 # ---------------------------------------------------------------------------

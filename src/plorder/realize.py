@@ -151,11 +151,14 @@ def induced_map(frame: OrbitFrame, g) -> dict[int, int]:
 # Empirical classification
 # ---------------------------------------------------------------------------
 
-def _sample_indices(n: int, budget: int = 48) -> list[int]:
-    if n <= budget:
+_SAMPLES = 48  # the frame indices classify_empirical reads first
+
+
+def _sample_indices(n: int) -> list[int]:
+    if n <= _SAMPLES:
         return list(range(n))
-    step = (n - 1) / (budget - 1)
-    return sorted({round(i * step) for i in range(budget)})
+    step = (n - 1) / (_SAMPLES - 1)
+    return sorted({round(i * step) for i in range(_SAMPLES)})
 
 
 def _escape(frame: OrbitFrame, act, i: int, power_bound: int) -> str:

@@ -36,6 +36,9 @@ class DepthExceeded(RuntimeError):
     """An image or a comparison split pieces past its refinement guard."""
 
 
+_IMAGE_DEPTH, _COMPARE_DEPTH = 500, 2000  # the piece depth and split guards
+
+
 # ---------------------------------------------------------------------------
 # Word pairs and the cancellation property
 # ---------------------------------------------------------------------------
@@ -252,7 +255,7 @@ class TailSet:
 
     # -- image --------------------------------------------------------------
 
-    def image(self, g: PLMap, depth: int = 500) -> "TailSet":
+    def image(self, g: PLMap) -> "TailSet":
         """g(S) for a line map with power-of-two slopes, dyadic breakpoints
         and integer-translation end germs."""
         if g.model != "line":
@@ -260,42 +263,36 @@ class TailSet:
         exps = []
         for s in g.slopes:
             try:
-                exps.append(int_log2(Fraction(s)))
+                exps.append(int_log2(s))
             except ValueError:
                 raise NonDyadicMap(f"slope {s} is not a power of two") from None
         for b in g.breakpoints:
-            if Fraction(b).denominator & (Fraction(b).denominator - 1):
+            if b.denominator & (b.denominator - 1):
                 raise NonDyadicMap(f"breakpoint {b} is not dyadic")
         for i in (0, -1):
-            if g.slopes[i] != 1 or Fraction(g.offsets[i]).denominator != 1:
+            if g.slopes[i] != 1 or g.offsets[i].denominator != 1:
                 raise NonDyadicMap("end germs must be integer translations")
-        m_low = int(g.offsets[0])
-        m_high = int(g.offsets[-1])
-        if not g.breakpoints:
+        m_low, m_high = int(g.offsets[0]), int(g.offsets[-1])
+        bps = g.breakpoints
+        if not bps:
             return TailSet(self.pair, self.lo + m_low, self.hi + m_low,
                            [(d + m_low, k) for d, k in self.pieces])
-        L = _floor(min(g.breakpoints))
-        R = _floor(max(g.breakpoints)) + 1
-        ext_lo = min(self.lo, L)
-        ext_hi = max(self.hi, R)
-        stack = list(self.pieces)
-        stack += [(Fraction(n), 0) for n in range(ext_lo, self.lo)]
-        stack += [(Fraction(n), 0) for n in range(self.hi, ext_hi)]
-        bps = list(g.breakpoints)
+        ext_lo = min(self.lo, _floor(bps[0]))
+        ext_hi = max(self.hi, _floor(bps[-1]) + 1)
+        tails = [*range(ext_lo, self.lo), *range(self.hi, ext_hi)]
+        stack = list(self.pieces) + [(Fraction(n), 0) for n in tails]
         out = []
         while stack:
             d, k = stack.pop()
-            if k > depth:
+            if k > _IMAGE_DEPTH:
                 raise DepthExceeded("image refinement guard hit")
             h0, h1 = _hull(d, k, self.pair)
-            i = bisect_right(bps, h0)
-            j = bisect_right(bps, h1)
+            i, j = bisect_right(bps, h0), bisect_right(bps, h1)
             a = exps[i]
             if i != j or k < a:
                 stack.extend(_children(d, k, self.pair))
                 continue
-            b = g(h0) - Fraction(g.slopes[i]) * h0
-            out.append((Fraction(g.slopes[i]) * d + b, k - a))
+            out.append((g.slopes[i] * d + g.offsets[i], k - a))
         return TailSet(self.pair, ext_lo + m_low, ext_hi + m_high, out)
 
 
@@ -344,7 +341,7 @@ def _materialize(s: TailSet, floor_n: int, top_n: int) -> list[_Piece]:
         + [(Fraction(n), 0) for n in range(s.hi, top_n)]
 
 
-def _compare(a: TailSet, b: TailSet, depth: int = 2000):
+def _compare(a: TailSet, b: TailSet):
     """(sign, alpha): sign > 0 when a owns the topmost unmatched piece."""
     if a.pair != b.pair:
         raise ValueError("mismatched word pairs")
@@ -353,7 +350,7 @@ def _compare(a: TailSet, b: TailSet, depth: int = 2000):
     top_n = max(a.hi, b.hi)
     la = _materialize(a, floor_n, top_n)
     lb = _materialize(b, floor_n, top_n)
-    guard = depth
+    guard = _COMPARE_DEPTH
     while la or lb:
         if la and lb and la[-1] == lb[-1]:
             la.pop()

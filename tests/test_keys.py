@@ -285,6 +285,51 @@ def test_xg_is_reference_scan(balls5, seed):
         assert xg(g, K) == ref_xg(g, K), g
 
 
+@pytest.fixture(scope="module")
+def f_ball4():
+    a, b = thompson_f_pair()
+    return list(ball({"a": a, "b": b}, 4))
+
+
+def test_scan_top_index_is_equivariant(f_ball4):
+    # (g.u)_n = g(u_{n - tau1(g)}), and g is increasing, so g.u and g.v
+    # first differ tau1(g) indices above where u and v do, in the same sense
+    engine = EscapingEngine(EscapingContext())
+    rng = random.Random("scan-index")
+    nones = 0
+    for _ in range(2000):
+        u, v, g = (rng.choice(f_ball4) for _ in range(3))
+        sign, n = engine._scan(engine._bounds(u), engine._bounds(v))
+        moved = engine._scan(engine._bounds(g * u), engine._bounds(g * v))
+        assert moved == (sign, None if n is None else n + tau1(g)), (u, v, g)
+        nones += n is None
+    assert 0 < nones < 2000
+
+
+@pytest.mark.parametrize("name", ["escaping", "restriction"])
+def test_signs_evaluate_only_g(f_ball4, name, monkeypatch):
+    # the identity's entries are the orbit itself: sign(g) evaluates g and
+    # nothing else, once the orbit points it reads are cached
+    if name == "escaping":
+        engine, pool = EscapingEngine(EscapingContext()), f_ball4
+    else:
+        engine = RestrictionEngine(DiscreteInvariantSet(f_big_generator()))
+        pool = [g for g in f_ball4 if tau1(g) == 0]
+    signs = [engine.sign(g) for g in pool]  # walks the orbit into its cache
+    call, seen = PLMap.__call__, []
+
+    def recording(f, x):
+        seen.append(f)
+        return call(f, x)
+
+    monkeypatch.setattr(PLMap, "__call__", recording)
+    for g, sign in zip(pool, signs):
+        seen.clear()
+        assert engine.sign(g) == sign
+        assert all(f is g for f in seen), g
+        assert seen or g.is_identity(), g
+
+
 def test_restriction_keys_reject_different_germs(axiom_engines, f_pair):
     engine = axiom_engines["restriction"][0]
     a, b = f_pair

@@ -90,6 +90,7 @@ class TestTrustedProducts:
     def assert_same(self, w, ref):
         assert w == ref and hash(w) == hash(ref)
         assert w.lamp == ref.lamp and all(any(v) for v in w.lamp.values())
+        assert list(w.lamp) == sorted(w.lamp, reverse=True)
 
     def test_on_radius_six_ball(self, plante_gens):
         elements = list(ball(plante_gens, 6, identity=WreathElement.identity()))
@@ -143,6 +144,84 @@ class TestPlanteSign:
         assert eng.key(a) < eng.key(b)
         assert eng.key(b) > eng.key(a)
         assert eng.key(a) == eng.key(WreathElement({0: 1, 2: 1}, shift=3))
+
+
+def ref_delta(a, b):
+    """Top position of the set of positions where the lamps differ."""
+    zero = (0,) * a.k
+    diff = [x for x in set(a.lamp) | set(b.lamp)
+            if a.lamp.get(x, zero) != b.lamp.get(x, zero)]
+    return max(diff) if diff else MINUS_INFINITY
+
+
+def ref_contains(c, tau):
+    """Lamp by lamp above the cut, through dicts."""
+    zero = (0,) * c.k
+    want = dict(c.pattern)
+    return all(tau.lamp.get(x, zero) == want.get(x, zero)
+               for x in set(want) | {x for x in tau.lamp if x > c.cut})
+
+
+def ref_relation(c, d):
+    """The patterns compared lamp by lamp above the higher cut."""
+    lo, hi = (c, d) if c.cut >= d.cut else (d, c)
+    zero = (0,) * c.k
+    wl, wh = dict(lo.pattern), dict(hi.pattern)
+    if any(wl.get(x, zero) != wh.get(x, zero)
+           for x in set(wl) | set(wh) if x > lo.cut):
+        return "disjoint"
+    if c.cut == d.cut:
+        return "equal"
+    return "superset" if c is lo else "subset"
+
+
+class TestTopDownReaders:
+    """delta, membership and relation read top-down listings; the oracles
+    rebuild dicts and sets from the configurations."""
+
+    @pytest.fixture(scope="class")
+    def ball6(self, plante_gens):
+        return list(ball(plante_gens, 6, identity=WreathElement.identity()))
+
+    @pytest.fixture(scope="class")
+    def family7(self, ball6):
+        return sorted({CSet(sigma, cut) for sigma in ball6 for cut in (-2, -1, 0, 1)},
+                      key=repr)
+
+    def test_delta_on_ball_pairs(self, ball6):
+        rng = random.Random("delta")
+        for _ in range(2000):
+            a, b = rng.choice(ball6), rng.choice(ball6)
+            assert delta_kernel(a, b) == ref_delta(a, b), (a, b)
+            assert delta_kernel(a, a) == MINUS_INFINITY
+
+    def test_patterns_run_top_down(self, family7):
+        for c in family7:
+            xs = [x for x, _ in c.pattern]
+            assert xs == sorted(xs, reverse=True) and all(x > c.cut for x in xs)
+
+    def test_contains_on_criterion7_family(self, ball6, family7):
+        rng = random.Random("contains")
+        for c in family7:
+            for tau in rng.sample(ball6, 3):
+                assert c.contains(tau) == ref_contains(c, tau), (c, tau)
+        hits = 0
+        for _ in range(2000):
+            c, tau = rng.choice(family7), rng.choice(ball6)
+            hits += c.contains(tau)
+            assert c.contains(tau) == ref_contains(c, tau), (c, tau)
+        assert hits
+
+    def test_relation_on_criterion7_family(self, family7):
+        rng = random.Random("relation")
+        pairs = [(rng.choice(family7), rng.choice(family7)) for _ in range(2000)]
+        pairs += [(c, c) for c in family7]
+        pairs += [(c, d) for c in family7[:60] for d in family7]
+        verdicts = set()
+        for c, d in pairs:
+            verdicts.add(c.relation(d))
+            assert c.relation(d) == ref_relation(c, d), (c, d)
+        assert verdicts == {"equal", "subset", "superset", "disjoint"}
 
 
 class TestDeltaKernel:

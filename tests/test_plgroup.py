@@ -87,6 +87,45 @@ class TestPLMap:
         assert f.support() == [(F(1, 4), F(5, 8))]
 
 
+# one element of each kind ** shares: a unit map, a line map, a wreath element
+POWER_BASES = {
+    "unit": thompson_f_pair()[0] * f_big_generator().inverse(),
+    "line": bs_g_plus(0, 2) * translation(F(1, 3)),
+    "wreath": WreathElement({-1: 2, 1: -1}, shift=1),
+}
+
+
+class TestPower:
+    """PLMap and WreathElement ** share one square-and-multiply routine."""
+
+    @pytest.mark.parametrize("kind", sorted(POWER_BASES))
+    def test_matches_repeated_product(self, kind):
+        x = POWER_BASES[kind]
+        one = x * x.inverse()
+        for n in range(-5, 10):
+            want = one
+            for _ in range(abs(n)):
+                want = want * (x if n > 0 else x.inverse())
+            assert x ** n == want, n
+
+    @pytest.mark.parametrize("kind", sorted(POWER_BASES))
+    def test_product_counts(self, kind, monkeypatch):
+        # no product with the identity and no square after the top bit
+        x = POWER_BASES[kind]
+        cls = type(x)
+        mul, calls = cls.__mul__, []
+
+        def counting(a, b):
+            calls.append(1)
+            return mul(a, b)
+
+        monkeypatch.setattr(cls, "__mul__", counting)
+        for n, products in ((1, 0), (-1, 0), (2, 1), (7, 4), (8, 3)):
+            calls.clear()
+            x ** n
+            assert len(calls) == products, n
+
+
 class TestRelators:
     def test_f_presentation(self):
         a, b = thompson_f_pair()

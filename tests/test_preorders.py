@@ -53,6 +53,16 @@ class TestDiscreteInvariantSet:
             assert list(zip(range(3), K.points_desc(K.s(2)))) == \
                 [(0, K.s(1)), (1, K.s(0)), (2, K.s(-1))]
 
+    def test_index_is_least_n_reaching_x(self):
+        # on orbit points, just above and just below them, on both sides of
+        # the seed
+        K = DiscreteInvariantSet(f_big_generator(), F(1, 3))
+        for n in range(-6, 7):
+            x = K.s(n)
+            assert K.index(x) == n
+            assert K.index(x + F(1, 10 ** 9)) == n + 1
+            assert K.index(x - F(1, 10 ** 9)) == n
+
     @pytest.mark.parametrize("seed", [0, 1, F(3, 2), F(-1, 2)])
     def test_rejects_seed_outside_the_interval(self, seed):
         with pytest.raises(ValueError, match="must lie in"):
