@@ -16,6 +16,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from functools import cache
 
 from .exactnum import LatticePreorder, SlopeGroup, module_index, parse_rational
 from .plgroup import (
@@ -23,6 +24,7 @@ from .plgroup import (
     NoWitness,
     PLMap,
     ball,
+    budget_mul,
     bs_g,
     bs_g_minus,
     bs_g_plus,
@@ -63,15 +65,15 @@ _ATOM = re.compile(
 
 def _parse_atoms(text: str, atom):
     """The one word grammar: "*"-separated atoms name(args)^exp, multiplied
-    left to right; atom(name, args) is the element an atom names (args is
-    None without parentheses)."""
+    left to right within the work budget; atom(name, args) is the element
+    an atom names (args is None without parentheses)."""
     out = None
     for part in text.split("*"):
         m = _ATOM.match(part.strip())
         if not m:
             raise InputError(f"cannot parse atom {part!r}")
         g = atom(m.group("name"), m.group("args")) ** int(m.group("exp") or 1)
-        out = g if out is None else out * g
+        out = g if out is None else budget_mul(out, g)
     return out
 
 
@@ -428,6 +430,7 @@ def cmd_okorder(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@cache  # built on the first call, not at import
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="plorder",
                                 description="Exact PL homeomorphism groups, "
@@ -498,8 +501,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except ValueError as e:  # InputError and every library input error

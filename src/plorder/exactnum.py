@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 
 class NotInGroup(ValueError):
@@ -243,6 +244,7 @@ class LatticePreorder:
             raise DimensionMismatch("rows of unequal dimension")
         self.rows = rows
         self.k = k
+        self._lex = rows == [tuple(int(i == j) for j in range(k)) for i in range(k)]
 
     @classmethod
     def lex(cls, k: int) -> "LatticePreorder":
@@ -250,11 +252,12 @@ class LatticePreorder:
         return cls([tuple(int(i == j) for j in range(k)) for i in range(k)], k)
 
     def values(self, vec) -> tuple[int, ...]:
-        """Row values of vec; u precedes v iff values(u) < values(v) as tuples."""
+        """Row values of vec; u precedes v iff values(u) < values(v) as tuples.
+        The identity rows of lex(k) give vec itself."""
         vec = tuple(vec)
         if len(vec) != self.k:
             raise DimensionMismatch(f"expected dimension {self.k}")
-        return tuple(sum(r * v for r, v in zip(row, vec)) for row in self.rows)
+        return vec if self._lex else tuple(sum(map(mul, row, vec)) for row in self.rows)
 
     def sign_of(self, vec) -> int:
         for s in self.values(vec):

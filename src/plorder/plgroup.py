@@ -9,8 +9,8 @@ generating sets (Thompson's F, Bieri-Strebel groups), relator verification,
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, NamedTuple
 
 from .exactnum import format_rational, parse_rational
@@ -37,18 +37,21 @@ class NoWitness(ValueError):
 def int_log2(r: Fraction) -> int:
     """Exact base-2 logarithm of a rational power of two."""
     r = Fraction(r)
-    if r.numerator == 1:
-        n = r.denominator
-        sign = -1
-    elif r.denominator == 1:
-        n = r.numerator
-        sign = 1
-    else:
-        raise ValueError(f"{r} is not a power of 2")
-    e = n.bit_length() - 1
-    if n != (1 << e):
-        raise ValueError(f"{r} is not a power of 2")
-    return sign * e
+    return _log2(r.numerator, r.denominator)
+
+
+def _log2(n: int, d: int) -> int:
+    """int_log2 of n/d in lowest terms."""
+    m = d if n == 1 else n
+    if m <= 0 or m & (m - 1) or 1 not in (n, d):
+        raise ValueError(f"{Fraction(n, d)} is not a power of 2")
+    return (m.bit_length() - 1) * (-1 if n == 1 else 1)
+
+
+def _lowest(n: int, d: int) -> tuple[int, int]:
+    """n/d in lowest terms, for d > 0."""
+    g = gcd(n, d)
+    return n // g, d // g
 
 
 class FixedStructure(NamedTuple):
@@ -61,9 +64,16 @@ class PLMap:
 
     model "unit": domain [0,1], fixes 0 and 1.
     model "line": domain R; the first/last pieces are the affine end germs.
+
+    Storage: _b holds the breakpoints as pairs (n, d) and _p the pieces
+    x -> s*x + o as (sn, sd, on, od), each pair in lowest terms with d > 0,
+    no two adjacent pieces equal.  The group law, equality, hashing and
+    evaluation read these integers; the Fraction views breakpoints, slopes
+    and offsets, and the hash, are filled on their first read.
     """
 
-    __slots__ = ("model", "breakpoints", "slopes", "offsets", "_hash")
+    _VIEWS = ("breakpoints", "slopes", "offsets")
+    __slots__ = ("model", "_b", "_p") + _VIEWS + ("_hash",)
 
     def __init__(self, model: str, breakpoints, slopes, offsets):
         if model not in ("unit", "line"):
@@ -80,45 +90,52 @@ class PLMap:
         for i, b in enumerate(bps):
             if sl[i] * b + off[i] != sl[i + 1] * b + off[i + 1]:
                 raise ValueError(f"discontinuous at {b}")
-        self._fill(model, bps, sl, off)
+        # canonical: drop breakpoints whose adjacent pieces coincide
+        keep = [i for i in range(len(bps)) if (sl[i], off[i]) != (sl[i + 1], off[i + 1])]
+        bps = [bps[i] for i in keep]
+        sl, off = ([v[0]] + [v[i + 1] for i in keep] for v in (sl, off))
         if model == "unit":
-            if any(not (0 < b < 1) for b in self.breakpoints):
+            if any(not (0 < b < 1) for b in bps):
                 raise ValueError("unit-model breakpoints must lie in (0,1)")
             if off[0] != 0:
                 raise ValueError("unit-model map must fix 0")
             if sl[-1] + off[-1] != 1:
                 raise ValueError("unit-model map must fix 1")
+        self._set(model, [(b.numerator, b.denominator) for b in bps],
+                  [(s.numerator, s.denominator, o.numerator, o.denominator)
+                   for s, o in zip(sl, off)])
 
     @classmethod
-    def _trusted(cls, model: str, bps: list, slopes: list, offsets: list) -> "PLMap":
+    def _trusted(cls, model: str, bps: list, pieces: list) -> "PLMap":
         """Build a map from canonical pieces without validating them.
 
-        Invariant: the callers pass the pieces of an already-valid map in
-        canonical form (the composite or inverse of valid maps): Fractions,
-        positive slopes, strictly increasing breakpoints, continuity, no
-        breakpoint between two equal pieces, and for the unit model
-        breakpoints in (0,1) and the endpoints fixed.  The hash waits for
-        its first use; every outside input goes through PLMap().
+        Invariant: the callers pass the pieces of an already-valid map (the
+        composite or inverse of valid maps) in the storage form, each pair
+        in lowest terms with d > 0, with positive slopes, strictly
+        increasing breakpoints, continuity, no breakpoint between two equal
+        pieces, and for the unit model breakpoints in (0,1) and the
+        endpoints fixed.  Every outside input goes through PLMap().
         """
         obj = object.__new__(cls)
-        obj._set(model, tuple(bps), tuple(slopes), tuple(offsets))
+        obj._set(model, bps, pieces)
         return obj
 
-    def _fill(self, model, bps, slopes, offsets):
-        # canonical: drop breakpoints whose adjacent pieces coincide
-        keep_b, keep_s, keep_o = [], [slopes[0]], [offsets[0]]
-        for b, s, o in zip(bps, slopes[1:], offsets[1:]):
-            if s != keep_s[-1] or o != keep_o[-1]:
-                keep_b.append(b)
-                keep_s.append(s)
-                keep_o.append(o)
-        self._set(model, tuple(keep_b), tuple(keep_s), tuple(keep_o))
-
-    def _set(self, model, bps: tuple, slopes: tuple, offsets: tuple):
+    def _set(self, model, bps, pieces):
         object.__setattr__(self, "model", model)
-        object.__setattr__(self, "breakpoints", bps)
-        object.__setattr__(self, "slopes", slopes)
-        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "_b", tuple(bps))
+        object.__setattr__(self, "_p", tuple(pieces))
+
+    def __getattr__(self, name):
+        # missing attributes get here: fill the hash, or all three views
+        if name == "_hash":
+            object.__setattr__(self, name, hash((self.model, self._b, self._p)))
+        elif name in self._VIEWS:
+            pairs = (self._b, [q[:2] for q in self._p], [q[2:] for q in self._p])
+            for view, ps in zip(self._VIEWS, pairs):
+                object.__setattr__(self, view, tuple(Fraction(n, d) for n, d in ps))
+        else:
+            raise AttributeError(name)
+        return object.__getattribute__(self, name)
 
     def __setattr__(self, *a):
         raise AttributeError("PLMap is immutable")
@@ -160,35 +177,34 @@ class PLMap:
     # -- basic queries ------------------------------------------------------
 
     def is_identity(self) -> bool:
-        return not self.breakpoints and self.slopes[0] == 1 and self.offsets[0] == 0
+        return not self._b and self._p[0] == (1, 1, 0, 1)
 
     def piece_index(self, x: Fraction) -> int:
-        return bisect_right(self.breakpoints, x)
+        """The number of breakpoints at or below x."""
+        n, d = x.numerator, x.denominator
+        return sum(bn * d <= n * bd for bn, bd in self._b)
 
     def __call__(self, x) -> Fraction:
         if not isinstance(x, Fraction):
             x = Fraction(x)
-        if self.model == "unit" and not (0 <= x <= 1):
+        n, d = x.numerator, x.denominator
+        if self.model == "unit" and not (0 <= n <= d):
             raise OutOfDomain(f"{x} outside [0,1]")
-        i = self.piece_index(x)
-        return self.slopes[i] * x + self.offsets[i]
+        sn, sd, on, od = self._p[self.piece_index(x)]
+        return Fraction(sn * n * od + on * sd * d, sd * d * od)
 
     # -- group law ----------------------------------------------------------
 
-    # The group law works on numerator/denominator pairs: each input
-    # Fraction is read once, comparisons cross-multiply (denominators stay
-    # positive), and each output is one Fraction(n, d).
+    # The group law reads and writes the storage pairs: comparisons
+    # cross-multiply (denominators stay positive), and each output value is
+    # reduced with one gcd.
 
     def inverse(self) -> "PLMap":
         """x -> (x - o)/s on the image s*b + o of each piece of the map."""
-        pieces = [(s.numerator, s.denominator, o.numerator, o.denominator)
-                  for s, o in zip(self.slopes, self.offsets)]
-        bps = [Fraction(sn * b.numerator * od + on * sd * b.denominator,
-                        sd * b.denominator * od)
-               for b, (sn, sd, on, od) in zip(self.breakpoints, pieces)]
-        slopes = [Fraction(sd, sn) for sn, sd, _, _ in pieces]
-        offsets = [Fraction(-on * sd, od * sn) for sn, sd, on, od in pieces]
-        return PLMap._trusted(self.model, bps, slopes, offsets)
+        bps = [_lowest(sn * bn * od + on * sd * bd, sd * bd * od)
+               for (bn, bd), (sn, sd, on, od) in zip(self._b, self._p)]
+        pieces = [(sd, sn, *_lowest(-on * sd, od * sn)) for sn, sd, on, od in self._p]
+        return PLMap._trusted(self.model, bps, pieces)
 
     def __mul__(self, other: "PLMap") -> "PLMap":
         """(f * g)(x) = f(g(x)), by one ordered merge of the two piece lists.
@@ -205,18 +221,13 @@ class PLMap:
             return NotImplemented
         if self.model != other.model:
             raise ModelMismatch(f"{self.model} vs {other.model}")
-        fb = [(b.numerator, b.denominator) for b in self.breakpoints]
-        fp = [(s.numerator, s.denominator, o.numerator, o.denominator)
-              for s, o in zip(self.slopes, self.offsets)]
-        gbps = other.breakpoints
-        gb = [(b.numerator, b.denominator) for b in gbps]
+        fb, fp, gb = self._b, self._p, other._b
         nf, ng = len(fb), len(gb)
-        bps, slopes, offsets = [], [], []
+        bps, pieces = [], []
         ln = ld = lon = lod = 0  # the last piece kept
-        cut = None  # the breakpoint before the next piece: a Fraction or (n, d)
+        cut = None  # the breakpoint before the next piece, as (n, d)
         j = 0  # f's piece at the image of the current point
-        for i, (a, c) in enumerate(zip(other.slopes, other.offsets)):
-            an, ad, cn, cd = a.numerator, a.denominator, c.numerator, c.denominator
+        for i, (an, ad, cn, cd) in enumerate(other._p):
             if i < ng:
                 # image of the piece's right end; the last piece reaches the
                 # end of the domain, which no breakpoint of f lies beyond
@@ -228,9 +239,8 @@ class PLMap:
                 qn, qd = sn * cn * od + on * sd * cd, sd * cd * od
                 if cut is None or pn * ld != ln * pd or qn * lod != lon * qd:
                     if cut is not None:
-                        bps.append(Fraction(*cut) if isinstance(cut, tuple) else cut)
-                    slopes.append(Fraction(pn, pd))
-                    offsets.append(Fraction(qn, qd))
+                        bps.append(_lowest(*cut))
+                    pieces.append(_lowest(pn, pd) + _lowest(qn, qd))
                     ln, ld, lon, lod = pn, pd, qn, qd
                 if j < nf:
                     xn, xd = fb[j]
@@ -240,10 +250,10 @@ class PLMap:
                         continue
                 break
             if i < ng:
-                cut = gbps[i]
+                cut = gb[i]
                 if j < nf and fb[j][0] * td == tn * fb[j][1]:
                     j += 1
-        return PLMap._trusted(self.model, bps, slopes, offsets)
+        return PLMap._trusted(self.model, bps, pieces)
 
     def __pow__(self, n: int) -> "PLMap":
         return power(self, n, lambda: PLMap.identity(self.model))
@@ -251,19 +261,10 @@ class PLMap:
     def __eq__(self, other):
         if not isinstance(other, PLMap):
             return NotImplemented
-        return (self.model == other.model
-                and self.breakpoints == other.breakpoints
-                and self.slopes == other.slopes
-                and self.offsets == other.offsets)
+        return self.model == other.model and self._b == other._b and self._p == other._p
 
     def __hash__(self):
-        # computed on first use: most products are never hashed
-        try:
-            return self._hash
-        except AttributeError:
-            h = hash((self.model, self.breakpoints, self.slopes, self.offsets))
-            object.__setattr__(self, "_hash", h)
-            return h
+        return self._hash
 
     def __repr__(self):
         return f"PLMap.from_text({self.to_text()!r})"
@@ -359,17 +360,38 @@ class PLMap:
 
 def power(x, n: int, identity):
     """x ** n by square-and-multiply, identity() for n = 0.  No product has
-    an identity factor and no square follows n's top bit."""
+    an identity factor and no square follows n's top bit; every product
+    stays within the work budget."""
     if n < 0:
         x, n = x.inverse(), -n
     out = None
     while n:
         if n & 1:
-            out = x if out is None else out * x
+            out = x if out is None else budget_mul(out, x)
         n >>= 1
         if n:
-            x = x * x
+            x = budget_mul(x, x)
     return identity() if out is None else out
+
+
+class BudgetExceeded(ValueError):
+    """A product of PL maps would pass the work budget: its breakpoint
+    bound len(x._b) + len(y._b), or the sum of the factors' largest
+    denominator bit lengths, exceeds PRODUCT_BUDGET."""
+
+
+PRODUCT_BUDGET = 1 << 12  # radius-6 balls reach 11 breakpoints and 13-bit denominators
+
+
+def budget_mul(x, y):
+    """x * y, after checking the work budget when x and y are PL maps."""
+    if isinstance(x, PLMap) and isinstance(y, PLMap):
+        nb = len(x._b) + len(y._b)
+        bits = sum(max(max(v[1::2]) for v in m._b + m._p).bit_length() for m in (x, y))
+        if max(nb, bits) > PRODUCT_BUDGET:
+            raise BudgetExceeded(f"a product of up to {nb} breakpoints and {bits}-bit "
+                                 f"denominators passes the work budget {PRODUCT_BUDGET}")
+    return x * y
 
 
 # ---------------------------------------------------------------------------
@@ -378,12 +400,12 @@ def power(x, n: int, identity):
 
 def tau0(g: PLMap) -> int:
     """-log2 D^+ g(0)."""
-    return -int_log2(g.slopes[0])
+    return -_log2(*g._p[0][:2])
 
 
 def tau1(g: PLMap) -> int:
     """-log2 D^- g(1)."""
-    return -int_log2(g.slopes[-1])
+    return -_log2(*g._p[-1][:2])
 
 
 # ---------------------------------------------------------------------------

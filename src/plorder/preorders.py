@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import enum
 import random
-from bisect import bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import count
 from operator import add
 
 from .exactnum import LatticePreorder, NotInGroup, SlopeGroup, is_prime, valuation
-from .plgroup import ModelMismatch, PLMap, f_big_generator, tau1
+from .plgroup import ModelMismatch, PLMap, _lowest, f_big_generator, tau1
 
 
 class Sign(enum.Enum):
@@ -68,27 +68,26 @@ class DiscreteInvariantSet:
         self.anchor, self.seed = anchor, seed
         self._up = anchor if anchor(seed) > seed else anchor.inverse()
         self._down = self._up.inverse()
-        self._cache = {0: seed}
+        # the walked orbit: s(0), s(1), ... rising and s(0), s(-1), ... falling
+        self._above, self._below = [seed], [seed]
 
     def s(self, n: int) -> Fraction:
         """The n-th orbit point, cached with every point walked to reach it."""
-        cache, m = self._cache, n
-        step, f = (1, self._up) if n > 0 else (-1, self._down)
-        while m not in cache:
-            m -= step
-        while m != n:
-            cache[m + step] = f(cache[m])
-            m += step
-        return cache[n]
+        pts, f, m = (self._above, self._up, n) if n >= 0 else (self._below, self._down, -n)
+        while len(pts) <= m:
+            pts.append(f(pts[-1]))
+        return pts[m]
 
     def index(self, x: Fraction) -> int:
-        """The least n with s(n) >= x, for x in (0, 1)."""
-        s, n = self.s, 0
-        while s(n) < x:
-            n += 1
-        while s(n - 1) >= x:
-            n -= 1
-        return n
+        """The least n with s(n) >= x, for x in (0, 1): a bisection of the
+        walked orbit, which walks on only past its ends."""
+        if x > self.seed:
+            while self._above[-1] < x:
+                self.s(len(self._above))
+            return bisect_left(self._above, x)
+        while self._below[-1] >= x:
+            self.s(-len(self._below))
+        return 1 - bisect_left(self._below, True, key=lambda y: y < x)
 
     def points_desc(self, upper: Fraction):
         """K-points strictly below upper, in decreasing order (lazy).  K
@@ -185,31 +184,22 @@ def _key_sign(key: tuple) -> Sign:
     return Sign((key > ident) - (key < ident))
 
 
-def _breaks(g: PLMap, side: str):
-    """(t, inner slope, outer slope) per breakpoint b of g, read from the
-    outer end: t = g(b) on the right and -g(b) on the left, and the outer
-    slope is the one on b's side toward the outer end."""
-    slopes, bps = g.slopes, g.breakpoints
-    if not bps:  # affine maps, the usual prime-engine input, build no zips
-        return ()
-    ys = [s * b + c for s, b, c in zip(slopes, bps, g.offsets)]
-    if side == "right":
-        return zip(reversed(ys), slopes[-2::-1], slopes[:0:-1])
-    return zip([-y for y in ys], slopes[1:], slopes)
+def _breaks(g: PLMap, side: str) -> list:
+    """(t, (n, d)) per breakpoint b of g, read from the outer end: t = g(b)
+    on the right and -g(b) on the left, and n/d, not reduced, is the inner
+    slope over the outer one, the one on b's side toward the outer end.
+    Read from g's integer pieces: t is the one Fraction built."""
+    out = []
+    for (xn, xd), (sn, sd, on, od), (rn, rd, _, _) in zip(g._b, g._p, g._p[1:]):
+        n, d = sn * xn * od + on * sd * xd, sd * xd * od
+        out.append((Fraction(n, d), (sn * rd, sd * rn)) if side == "right"
+                   else (Fraction(-n, d), (rn * sd, rd * sn)))
+    return out[::-1] if side == "right" else out
 
 
 def _push(g: PLMap, side: str):
     """t -> the position of g(y), for t the position of y."""
-    bps, slopes, offsets = g.breakpoints, g.slopes, g.offsets
-    if side == "right":
-        def push(t):
-            i = bisect_right(bps, t)
-            return slopes[i] * t + offsets[i]
-    else:
-        def push(t):  # t = -y goes to -g(y)
-            i = bisect_right(bps, -t)
-            return slopes[i] * t - offsets[i]
-    return push
+    return g if side == "right" else lambda t: -g(-t)
 
 
 class JumpEngine:
@@ -217,8 +207,9 @@ class JumpEngine:
     key reads slopes relative to the outer slope, so its outer value is 0,
     and its jump at a breakpoint b is the row values of D^-g(b) / D^+g(b)
     on the right side (the factor jump_cocycle multiplies) or
-    D^+g(b) / D^-g(b) on the left, memoised per engine by that ratio (a
-    ratio outside the group raises and is not stored)."""
+    D^+g(b) / D^-g(b) on the left, memoised per engine on that ratio as an
+    integer pair in lowest terms (a ratio outside the group raises and is
+    not stored)."""
 
     def __init__(self, side: str = "right",
                  group: SlopeGroup | None = None,
@@ -229,10 +220,12 @@ class JumpEngine:
         self._values = {}
 
     def _value(self, ratio) -> tuple[int, ...]:
+        """The row values of n/d for ratio = (n, d), d > 0."""
+        ratio = _lowest(*ratio)
         v = self._values.get(ratio)
         if v is None:
             try:
-                v = self.order.values(self.group.decompose(ratio))
+                v = self.order.values(self.group.decompose(Fraction(*ratio)))
             except NotInGroup as e:
                 raise SlopeNotInGroup(str(e)) from None
             self._values[ratio] = v
@@ -240,8 +233,7 @@ class JumpEngine:
 
     def key(self, g: PLMap) -> tuple:
         return _profile((0,) * len(self.order.rows),
-                        [(t, self._value(a / b))
-                         for t, a, b in _breaks(g, self.side)])
+                        [(t, self._value(r)) for t, r in _breaks(g, self.side)])
 
     def act(self, g: PLMap):
         """k -> key(g x) for k = key(x): by the chain rule x's jumps move
@@ -275,9 +267,10 @@ class PrimeJumpEngine:
         outer value is nu_q of the last slope, and each jump the difference
         of nu_q on the two pieces at a breakpoint."""
         q = self.q
-        return _profile((valuation(g.slopes[-1], q),),
-                        [(t, (valuation(a, q) - valuation(b, q),))
-                         for t, a, b in _breaks(g, "right")])
+        sn, sd, _, _ = g._p[-1]
+        return _profile((valuation(sn, q) - valuation(sd, q),),
+                        [(t, (valuation(n, q) - valuation(d, q),))
+                         for t, (n, d) in _breaks(g, "right")])
 
     def act(self, g: PLMap):
         """k -> key(g x) for k = key(x); nu_q is additive in the slope."""
@@ -332,11 +325,11 @@ class EscapingEngine:
         maps only, whose breakpoints lie in (0, 1)."""
         if g.model != "unit":
             raise ModelMismatch("unit-interval maps only")
-        ctx, t, bps = self.ctx, tau1(g), g.breakpoints
+        ctx, t, bps = self.ctx, tau1(g), g._b
         s, anchor = ctx.s, ctx.anchor.breakpoints
         top, bottom, entry = anchor[-1], anchor[0], s  # the identity's entries
         if bps:
-            top, bottom = max(top, bps[-1]), min(bottom, bps[0])
+            top, bottom = max(top, Fraction(*bps[-1])), min(bottom, Fraction(*bps[0]))
             entry = lambda n: g(s(n - t))
         return g, t, ctx.index(top) + max(t, 0), ctx.index(bottom) - 1 + t, entry
 

@@ -2,13 +2,15 @@
 removing it must keep working as the library changes.
 
 Runs no benchmark jobs: it patches and unpatches, and traces one frame
-build.
+build and one classify call.
 """
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
-from plorder import realize
+from plorder import cli, realize
 from plorder.plgroup import PLMap, bs_g_plus, translation
 from plorder.preorders import JumpEngine
 
@@ -54,3 +56,18 @@ def test_frame_balls_are_traced_under_build_frame():
     assert tracer.counts["plgroup.ball.kept"] == 52
     products = tracer.agg[("plgroup.mul", "plgroup.ball")][0]
     assert tracer.metrics()["plgroup.ball.new_ratio"]["value"] == 52 / products
+
+
+def test_traced_classify_reports_map_sizes():
+    # the tracer reads the Fraction views of every product it sees, so a
+    # traced run fills views that an untraced one never builds
+    tracer = _load_tracing().Tracer()
+    try:
+        tracer.install()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["classify", "--radius", "3", "--word", "t(1)*g+(0,2)"]) == 0
+    finally:
+        tracer.unpatch()
+    metrics = tracer.metrics()
+    assert metrics["plgroup.max_breakpoints"]["value"] > 0
+    assert metrics["plgroup.max_den_bits"]["value"] > 0

@@ -12,6 +12,7 @@ import pytest
 from plorder.cli import (
     _DEFAULT_FAMILY,
     _FAMILIES,
+    _build_parser,
     main,
     parse_engine,
     parse_family_word,
@@ -309,6 +310,17 @@ class TestBadInput:
         self._rejects(["sign", "--word", "t(1/2^1000000000)"], capsys,
                       "exceeds the budget")
 
+    # the word parser's products and powers stay within the work budget;
+    # a^100000 used to overrun any time limit
+    @pytest.mark.parametrize("engine, word", [
+        ("escaping", "a^100000"),              # a square in the power
+        ("escaping", "a^2100*a^2100"),         # the parser's product, breakpoints
+        ("jump", "t(1/2^3000)*t(1/2^3000)"),   # the parser's product, denominators
+    ])
+    def test_work_budget(self, engine, word, capsys):
+        self._rejects(["sign", "--engine", engine, "--word", word], capsys,
+                      "input error: a product of up to")
+
     def test_horograding_is_gone(self, capsys):
         # the focal end belongs to the engine, not to an option
         with pytest.raises(SystemExit) as e:
@@ -390,3 +402,27 @@ def test_escaping_refuses_line_maps(argv):
     assert done.returncode == 2
     assert "unit-interval maps only" in done.stderr
     assert "Traceback" not in done.stderr
+
+
+def test_parser_is_built_once(capsys):
+    # main builds its parser on the first call and reuses it: each call,
+    # one after an argparse exit, prints what a fresh process prints
+    runs = [["sign", "--word", "t(1)"],
+            ["sign", "--engine"],
+            ["classify", "--radius", "3", "--word", "t(1)*g+(0,2)"]]
+    _build_parser.cache_clear()
+    got = []
+    for argv in runs:
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+        out = capsys.readouterr()
+        got.append((rc, out.out, out.err))
+    assert _build_parser.cache_info().misses == 1
+    env = dict(os.environ, PYTHONPATH=str(_SRC))
+    fresh = [subprocess.run([sys.executable, "-m", "plorder.cli", *argv], env=env,
+                            capture_output=True, text=True, timeout=60)
+             for argv in runs]
+    assert got == [(p.returncode, p.stdout, p.stderr) for p in fresh]
+    assert got[1][0] == 2 and "expected one argument" in got[1][2]

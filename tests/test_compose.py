@@ -11,10 +11,12 @@ that the kernel must agree with exactly.
 
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
 
+from plorder.cli import _FAMILIES
 from plorder.plgroup import PLMap, ball, bs_g, bs_g_plus, thompson_f_pair, translation
 
 
@@ -254,3 +256,34 @@ def test_lazy_hash_keeps_maps_immutable():
         with pytest.raises(AttributeError):
             setattr(g, attr, None)
     assert hash(g) == h
+
+
+# ---------------------------------------------------------------------------
+# The integer storage: reduced pairs, canonical pieces, views that agree
+# ---------------------------------------------------------------------------
+
+def _assert_canonical_storage(m: PLMap):
+    pairs = list(m._b) + [p[:2] for p in m._p] + [p[2:] for p in m._p]
+    assert all(d > 0 and gcd(n, d) == 1 for n, d in pairs), m
+    assert all(p != q for p, q in zip(m._p, m._p[1:])), m
+    validated = PLMap(m.model, m.breakpoints, m.slopes, m.offsets)
+    assert validated == m and hash(validated) == hash(m), m
+    assert (validated._b, validated._p) == (m._b, m._p), m
+
+
+@pytest.mark.parametrize("family", ["thompsonF", "bs2"])
+def test_storage_is_canonical_on_radius4_balls(family):
+    """Maps from PLMap(...), *, inverse() and ** over the radius-4 ball,
+    each element against a seeded partner on each side."""
+    gens = _FAMILIES[family]()
+    elements = list(ball(gens, 4))
+    rng = random.Random(4)
+    for g in elements:
+        h = rng.choice(elements)
+        for m in (g, g.inverse(), g * h, h * g, g ** 3, g ** -2):
+            _assert_canonical_storage(m)
+    # the constructor drops a breakpoint between equal pieces
+    merged = PLMap("line", [0, 1], [2, 2, 1], [0, 0, 1])
+    assert merged._b == ((1, 1),) and merged._p == ((2, 1, 0, 1), (1, 1, 1, 1))
+    for m in (merged, *gens.values()):
+        _assert_canonical_storage(m)

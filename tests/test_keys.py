@@ -17,7 +17,8 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-from plorder.exactnum import LatticePreorder, SlopeGroup
+from plorder.cli import parse_engine
+from plorder.exactnum import LatticePreorder, SlopeGroup, valuation
 from plorder.plante import PlanteEngine, WreathElement
 from plorder.plgroup import (
     PLMap,
@@ -39,6 +40,7 @@ from plorder.preorders import (
     RestrictionEngine,
     Sign,
     SlopeNotInGroup,
+    _profile,
     xg,
 )
 from plorder.symsets import SymbolicEngine, line_generators, ok_compare
@@ -348,15 +350,21 @@ def test_jump_keys_reject_slopes_outside_the_group():
             JumpEngine(side=side).key(g)
 
 
+def _ratios(engine):
+    """The memo's ratios, kept as integer pairs (n, d) in lowest terms."""
+    return {Fraction(n, d) for n, d in engine._values}
+
+
 def test_jump_memo_keeps_ratios_not_slopes():
     # slopes 3 and 6 lie outside <2>, but their ratio 1/2 does not; the
-    # memo holds one ratio per breakpoint, D^-g(b) / D^+g(b)
+    # memo holds one ratio per breakpoint, D^-g(b) / D^+g(b), in lowest
+    # terms, so the slope pairs (1, 2) and (3, 6) share one entry
     g = bs_g(0, 3) * bs_g_plus(0, 2)
     engine = JumpEngine(side="right")
     engine.key(bs_g_plus(0, 2))  # warm the memo
     assert engine.sign(g) is Sign.NEGATIVE
     assert engine.sign(g) is Sign.NEGATIVE
-    assert set(engine._values) == {Fraction(1, 2)}
+    assert set(engine._values) == {(1, 2)}
 
 
 def _in_two(ratio):
@@ -375,10 +383,59 @@ def test_jump_memo_refuses_slopes_outside_the_group_every_time():
             with pytest.raises(SlopeNotInGroup):
                 engine.act(bad)
             with pytest.raises(SlopeNotInGroup):
-                engine._value(Fraction(3))
-        assert all(_in_two(ratio) for ratio in engine._values)
+                engine._value((3, 1))
+        assert all(_in_two(ratio) for ratio in _ratios(engine))
         good = bs_g_plus(0, 2) * bs_g(1, 4)
         assert engine.key(good) == JumpEngine(side=side).key(good)
+
+
+# ---------------------------------------------------------------------------
+# Integer keys against the Fraction formula they replace
+# ---------------------------------------------------------------------------
+
+def fraction_breaks(g, side):
+    """(t, inner slope, outer slope) per breakpoint b of g as Fractions,
+    read from the outer end: t = g(b) on the right and -g(b) on the left."""
+    slopes, bps = g.slopes, g.breakpoints
+    ys = [s * b + c for s, b, c in zip(slopes, bps, g.offsets)]
+    if side == "right":
+        return zip(reversed(ys), slopes[-2::-1], slopes[:0:-1])
+    return zip([-y for y in ys], slopes[1:], slopes)
+
+
+def fraction_jump_key(engine, g):
+    return _profile((0,) * len(engine.order.rows),
+                    [(t, engine.order.values(engine.group.decompose(a / b)))
+                     for t, a, b in fraction_breaks(g, engine.side)])
+
+
+def fraction_prime_key(q, g):
+    return _profile((valuation(g.slopes[-1], q),),
+                    [(t, (valuation(a, q) - valuation(b, q),))
+                     for t, a, b in fraction_breaks(g, "right")])
+
+
+@pytest.mark.parametrize("engine", [
+    *map(parse_engine, ["jump:right,lex", "jump:right,opp",
+                        "jump:left,lex", "jump:left,opp"]),
+    JumpEngine(group=SlopeGroup([2, 3])),
+    JumpEngine(side="left", group=SlopeGroup([2, 3])),
+], ids=repr)
+def test_jump_keys_match_the_fraction_formula(engine):
+    for g in ball({"t(1)": translation(1), "g+(0,2)": bs_g_plus(0, 2)}, 5):
+        assert engine.key(g) == fraction_jump_key(engine, g), g
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_prime_keys_match_the_fraction_formula(q):
+    # the PL_Q ball of t(1) and g(0,6) holds affine maps only, so g+(0,3/2)
+    # puts breakpoints with rational slopes on either side into it
+    gens = {"t": translation(1), "g6": bs_g(0, 6), "g+": bs_g_plus(0, Fraction(3, 2))}
+    engine = PrimeJumpEngine(q)
+    elements = list(ball(gens, 4))
+    assert any(g.breakpoints for g in elements)
+    for g in elements:
+        assert engine.key(g) == fraction_prime_key(q, g), g
 
 
 # ---------------------------------------------------------------------------

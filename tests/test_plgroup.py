@@ -4,6 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from plorder.plgroup import (
+    PRODUCT_BUDGET,
+    BudgetExceeded,
     HypothesisFailed,
     NoWitness,
     PLMap,
@@ -124,6 +126,34 @@ class TestPower:
             calls.clear()
             x ** n
             assert len(calls) == products, n
+
+
+class TestWorkBudget:
+    """power refuses a product past PRODUCT_BUDGET before forming it."""
+
+    def test_square_over_the_breakpoint_budget(self):
+        # a^n has n + 3 breakpoints: the square of a^2048 would pass 4096
+        a, _ = thompson_f_pair()
+        with pytest.raises(BudgetExceeded, match="4102 breakpoints"):
+            a ** 100000
+
+    def test_product_over_the_breakpoint_budget(self):
+        # 4095 = 2^12 - 1: every square fits, the last product a^2047 * a^2048
+        # does not
+        a, _ = thompson_f_pair()
+        with pytest.raises(BudgetExceeded, match="4101 breakpoints"):
+            a ** 4095
+        assert len((a ** 2000)._b) == 2003
+
+    def test_square_over_the_denominator_budget(self):
+        x = translation(F(1, 2 ** 3000))
+        with pytest.raises(BudgetExceeded, match="6002-bit"):
+            x ** 2
+        assert PRODUCT_BUDGET < 6002
+
+    def test_wreath_powers_have_no_budget(self):
+        t = WreathElement.shift_by(1)
+        assert t ** 100000 == WreathElement.shift_by(100000)
 
 
 class TestRelators:

@@ -370,3 +370,21 @@ class TestCrossFreeCovers:
                     intervals.append((hit[0], hit[-1]))
         r = cf_cover_check(frame, intervals)
         assert r["crossFree"]
+
+
+@pytest.mark.parametrize("desc", ["jump:right,lex", "jump:left,opp", "prime:2"])
+def test_key_frames_fill_no_view(desc, monkeypatch):
+    # a jump or prime frame composes, hashes and keys its ball on the
+    # integer storage: no map builds its Fraction views
+    fill, filled = PLMap.__getattr__, []
+
+    def counting(m, name):
+        if name in PLMap._VIEWS:
+            filled.append(name)
+        return fill(m, name)
+
+    monkeypatch.setattr(PLMap, "__getattr__", counting)
+    gens = {"t(1)": translation(1), "g+(0,2)": bs_g_plus(0, 2)}
+    frame = build_frame(parse_engine(desc), gens, radius=4)
+    assert len(frame) > 1 and filled == []
+    assert frame.points[-1].slopes and filled == ["slopes"]  # a cold reader
