@@ -6,7 +6,8 @@ witness on stderr), 2 input error.
 
 sign, classify and okorder read --word over the engine's generator family,
 so every word a frame prints parses back; classify predicts the dynamical
-type at the engine's focal end (JumpEngine.side, else the right end).
+type at the engine's focal end (JumpEngine.side, else the right end) on
+the jump, escaping and ok engines.
 """
 
 from __future__ import annotations
@@ -257,8 +258,9 @@ def cmd_classify(args) -> int:
     g = parse_family_word(args.word, gens)
     frame = build_frame(engine, gens, radius=radius)
     emp = classify_empirical(frame, g)
-    if isinstance(g, PLMap):
-        # engines without a side (all but jump) are focused at the right end
+    if args.engine.partition(":")[0] in ("jump", "escaping", "ok"):
+        # the engines a prediction sweep covers; escaping and ok, which
+        # have no side, are focused at the right end
         pred = classify_predicted(g, getattr(engine, "side", "right"))
         print(f"predicted: {pred}")
     print(f"empirical: {emp}")

@@ -295,8 +295,7 @@ class PLMap:
             if merged and merged[-1][1] == part[0]:
                 merged[-1] = (merged[-1][0], part[1])
             else:
-                merged.append(list(part) if isinstance(part, tuple) else part)
-        merged = [tuple(p) for p in merged]
+                merged.append(part)
         # support components = complement of the fixed set within the domain
         support = []
         left = Fraction(0) if self.model == "unit" else None

@@ -18,7 +18,6 @@ import enum
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cmp_to_key
 from itertools import count
 from operator import add
 
@@ -99,21 +98,15 @@ class DiscreteInvariantSet:
 
 def xg(g: PLMap, K: DiscreteInvariantSet):
     """sup{x in K : g(x) != x}, or None when g fixes K pointwise: s(n) for
-    n the top index of the restriction scan of g against the identity.
-    Requires tau1(g) = 0 (trivial right germ)."""
-    if g.model != "unit":
-        raise NotInFPlus("unit-interval maps only")
-    engine = RestrictionEngine(K)
-    n = engine._scan(engine._bounds(g), engine._identity)[1]
+    n the index of the first jump of g's restriction walk.  Requires
+    tau1(g) = 0 (trivial right germ)."""
+    n = next(RestrictionEngine(K)._walk(g, IDENTITY_KEY), (None,))[0]
     return None if n is None else K.s(n)
 
 
 def restriction_sign(g: PLMap, K: DiscreteInvariantSet) -> Sign:
     """Positive iff g moves its outermost moved K-point up."""
-    x = xg(g, K)
-    if x is None:
-        return Sign.RESIDUE
-    return Sign.POSITIVE if g(x) > x else Sign.NEGATIVE
+    return RestrictionEngine(K).sign(g)
 
 
 # ---------------------------------------------------------------------------
@@ -299,59 +292,72 @@ class EscapingContext(DiscreteInvariantSet):
         self.f0, self.s0 = f0, self.seed
 
 
-_UNIT = PLMap.identity("unit")
+IDENTITY_KEY = ((0,), (0,))  # the identity's entries are the orbit itself
 
 
 class EscapingEngine:
     """Order of the sequences g.s, (g.s)_n = g(s_{n - tau1(g)}), compared at
-    their top disagreement index.
-
-    Above every breakpoint of u, v and f0 a map with tau1 = t agrees with
-    f0^t, so both entries equal s_n there; below every breakpoint both maps
-    and f0 are linear, so the entries keep a constant ratio and the first
-    index there decides.  The order is invariant under the action, so
-    key(u) < key(v) iff v^-1 u is Negative.
-    """
+    their top disagreement index.  g's key is the step profile from the top
+    of r(n) = (g.s)_n / s_n: its nonzero jumps r(n) - r(n + 1) at orbit
+    indices n.  s_n > 0, so two profiles first differ where the sequences
+    do, in the same sense, and key(u) < key(v) iff v^-1 u is Negative."""
 
     def __init__(self, ctx: DiscreteInvariantSet | None = None):
         self.ctx = ctx or EscapingContext()
-        self._key = cmp_to_key(lambda a, b: self._scan(a, b)[0])
-        self._identity = self._bounds(_UNIT)
+        bps = self.ctx.anchor.breakpoints  # low: the top index with s below bps[0]
+        self._top, self._low, self._hi = bps[-1], self.ctx.index(bps[0]) - 1, {}
 
-    def _bounds(self, g: PLMap):
-        """(g, tau1(g), hi, lo, entry): g's entry(n) = g(s_{n - tau1(g)}), the
-        orbit s itself for the identity, is s_n for every n >= hi, and for
-        n <= lo its orbit point lies below every breakpoint.  Unit-interval
-        maps only, whose breakpoints lie in (0, 1)."""
+    def _tau(self, g: PLMap) -> int:
         if g.model != "unit":
             raise ModelMismatch("unit-interval maps only")
-        ctx, t, bps = self.ctx, tau1(g), g._b
-        s, anchor = ctx.s, ctx.anchor.breakpoints
-        top, bottom, entry = anchor[-1], anchor[0], s  # the identity's entries
-        if bps:
-            top, bottom = max(top, Fraction(*bps[-1])), min(bottom, Fraction(*bps[0]))
-            entry = lambda n: g(s(n - t))
-        return g, t, ctx.index(top) + max(t, 0), ctx.index(bottom) - 1 + t, entry
+        return tau1(g)
 
-    def _scan(self, a, b):
-        """(sign, n) for n the top index where the entries of a and b differ,
-        sign > 0 when a's is the larger there; (0, None) when they agree."""
-        (_, _, hu, lu, u), (_, _, hv, lv, v) = a, b
-        for n in range(max(hu, hv) - 1, min(lu, lv) - 1, -1):
-            x, y = u(n), v(n)
-            if x != y:
-                return (1 if x > y else -1), n
-        return 0, None
+    def _walk(self, g: PLMap, k: tuple):
+        """The nonzero jumps (n, (r(n) - r(n + 1),)) of r(n) = (g.x.s)_n / s_n
+        from the top down, for k = key(x): (g.x.s)_n = g((x.s)_{n - t}),
+        t = tau1(g), and (x.s)_m is s_m (1 + k's jumps at indices >= m).
+        r(n) = 1 from max(hi + max(t, 0), x's top jump + t + 1) up, hi the
+        least index with s_hi >= every breakpoint of g and the anchor, above
+        which g is the anchor's power t.  It stops after the first n with
+        (1) n <= low + min(t, 0): s_n and s_{n - t} lie in the anchor's linear
+        germ at 0, in a constant ratio from n down; (2) every jump of k
+        consumed: x's ratio is constant from n - t down; (3) x's entry at
+        n - t below g's first breakpoint: g is linear on x's entries from
+        there down.  Each is monotone in n, so r is constant below that n."""
+        t, s, bps = self._tau(g), self.ctx.s, g._b
+        xjumps = [(sg * c, v) for sg, c, (v,) in k[1:-1]]
+        top = bps[-1] if bps else (0, 1)
+        hi = self._hi.get(top)  # memoised per top breakpoint
+        if hi is None:
+            hi = self._hi[top] = self.ctx.index(max(self._top, Fraction(*top)))
+        n = max([hi + max(t, 0)] + [m + t + 1 for m, _ in xjumps[:1]])
+        low, i, rx, r = self._low + min(t, 0), 0, 1, 1
+        while True:
+            n -= 1
+            while i < len(xjumps) and xjumps[i][0] >= n - t:
+                rx += xjumps[i][1]
+                i += 1
+            y = rx * s(n - t) if i else s(n - t)
+            gy, sn = g(y), s(n)
+            rn = 1 if gy == sn else gy / sn
+            if rn != r:
+                yield n, (rn - r,)
+                r = rn
+            if n <= low and i == len(xjumps) and (not bps or y < Fraction(*bps[0])):
+                return
 
-    def key(self, g: PLMap):
-        return self._key(self._bounds(g))
+    def key(self, g: PLMap) -> tuple:
+        return _profile((0,), self._walk(g, IDENTITY_KEY))
 
     def act(self, g: PLMap):
-        """k -> key(g x) for k = key(x); the key wraps (x, ...)."""
-        return lambda k: self.key(g * k.obj[0])
+        """k -> key(g x) for k = key(x), read off x's entries: no product."""
+        return lambda k: _profile((0,), self._walk(g, k))
 
     def sign(self, g: PLMap) -> Sign:
-        return Sign(self._scan(self._bounds(g), self._identity)[0])
+        """The sign of the first jump of g's walk."""
+        for _, (v,) in self._walk(g, IDENTITY_KEY):
+            return Sign.POSITIVE if v > 0 else Sign.NEGATIVE
+        return Sign.RESIDUE
 
     def __repr__(self):
         return f"{type(self).__name__}(s0={self.ctx.seed})"
@@ -359,21 +365,18 @@ class EscapingEngine:
 
 class RestrictionEngine(EscapingEngine):
     """The restriction preorder on F_+: u is above v iff u(x) > v(x) at the
-    top K-point x where they differ.  Two maps with the same right germ
-    tau1 shift their orbit sequences by the same tau1, so on them this is
-    the escaping order over K's orbit (for any anchor of K), and maps with
-    different germs are not compared.  Build it as RestrictionEngine(K);
-    K is its ctx."""
+    top K-point x where they differ, the escaping order over K's orbit (any
+    anchor) on tau1 = 0.  Build it as RestrictionEngine(K), K its ctx; key,
+    act and sign raise NotInFPlus off F_+."""
 
-    def _scan(self, a, b):
-        if a[1] != b[1]:
-            raise NotInFPlus(f"tau1 = {a[1] - b[1]}")
-        return super()._scan(a, b)
+    def _tau(self, g: PLMap) -> int:
+        if g.model != "unit":
+            raise NotInFPlus("unit-interval maps only")
+        if tau1(g):
+            raise NotInFPlus(f"tau1 = {tau1(g)}")
+        return 0
 
-    # its own sign, not an inherited one: perfbench's tracer patches the
-    # sign in each engine's class body
-    def sign(self, g: PLMap) -> Sign:
-        return Sign(self._scan(self._bounds(g), self._identity)[0])
+    sign = EscapingEngine.sign  # in the class body, where perfbench's tracer patches it
 
 
 # ---------------------------------------------------------------------------

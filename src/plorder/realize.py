@@ -119,12 +119,7 @@ def build_frame(engine, generators: dict, basepoint=None, radius: int = 3) -> Or
             continue
         k = key_of[word] = engine.key(el)
         if inherit and word and not star:
-            try:
-                fixes[name] = k == key_of[""]
-            except ValueError:
-                # incomparable keys: the sort below raises as it would
-                # without inheritance
-                fixes[name] = False
+            fixes[name] = k == key_of[""]
     keyed = sorted(((key_of[word], el, word) for el, word in items), key=itemgetter(0))
     points, words, keys = [], {}, []
     for k, el, word in keyed:

@@ -186,6 +186,19 @@ class TestCommands:
             "predicted: Homothety(contracting)\n"
             "empirical: Homothety(contracting)\n")
 
+    @pytest.mark.parametrize("argv, out", [
+        (["--engine", "prime:2", "--radius", "4", "--word", "t(1)"],
+         "empirical: ContractingPseudohomothety\n"),
+        (["--engine", "restriction", "--word", "a*c^-1*c^-1"],
+         "empirical: ExpandingPseudohomothety\n"),
+    ], ids=["prime:2", "restriction"])
+    def test_classify_predicts_only_where_a_sweep_holds(self, argv, out, capsys):
+        # the right-end germ rule contradicts these frames (it predicted
+        # Homothety(expanding) and TotallyBounded), and no sweep covers the
+        # prime or restriction engines, so classify prints no prediction
+        assert main(["classify", *argv]) == 0
+        assert capsys.readouterr().out == out
+
 
 # sha256 of `plorder realize --radius 3 --emit csv` per engine, recorded
 # before frames became sorted keys; the frames must not change.

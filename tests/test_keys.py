@@ -17,7 +17,7 @@ from operator import mul
 import pytest
 from hypothesis import given, strategies as st
 
-from plorder.cli import parse_engine
+from plorder.cli import _DEFAULT_FAMILY, _FAMILIES, parse_engine
 from plorder.exactnum import LatticePreorder, SlopeGroup, valuation
 from plorder.plante import PlanteEngine, WreathElement
 from plorder.plgroup import (
@@ -43,6 +43,7 @@ from plorder.preorders import (
     _profile,
     xg,
 )
+from plorder.realize import build_frame
 from plorder.symsets import SymbolicEngine, line_generators, ok_compare
 
 
@@ -187,40 +188,40 @@ def test_sign_is_reference_sign(cases, name):
 
 
 def test_restriction_keys_beyond_fplus(axiom_engines, balls5):
-    # maps with equal nonzero right germs compare like their quotient in F_+
+    # restriction keys exist on F_+ only: key, act and sign refuse every
+    # map with a nontrivial right germ, and line maps
     engine = axiom_engines["restriction"][0]
     rng = random.Random(5)
-    by_germ = {}
-    for g in balls5["f"]:
-        by_germ.setdefault(tau1(g), []).append(g)
-    checked = 0
-    for t, group in sorted(by_germ.items()):
-        if t == 0 or len(group) < 2:
-            continue
-        for _ in range(20):
-            u, v = rng.choice(group), rng.choice(group)
-            assert _cmp(engine.key(u), engine.key(v)) == \
-                ref_restriction_sign(v.inverse() * u, engine.ctx).value
-            checked += 1
-    assert checked
+    inside = balls5["fplus"]
+    outside = [g for g in balls5["f"] if tau1(g) != 0]
+    for g in rng.sample(outside, 40) + [translation(1)]:
+        k = engine.key(rng.choice(inside))
+        for refused in (lambda: engine.key(g), lambda: engine.act(g)(k),
+                        lambda: engine.sign(g)):
+            with pytest.raises(NotInFPlus):
+                refused()
 
 
 def test_restriction_is_escaping_on_one_germ():
     # the identity the restriction engine rests on: on two maps with the same
     # right germ the escaping order shifts both sequences alike, so it is
-    # the restriction order; checked on every equal-germ pair of the F r4 ball
+    # the restriction order of their quotient; checked on every equal-germ
+    # pair of the F r4 ball, and on F_+ the two engines' keys coincide
     a, b = thompson_f_pair()
     restriction = RestrictionEngine(DiscreteInvariantSet(f_big_generator()))
     escaping = EscapingEngine(EscapingContext())
     by_germ = {}
     for g in ball({"a": a, "b": b}, 4):
-        by_germ.setdefault(tau1(g), []).append((restriction.key(g), escaping.key(g)))
+        by_germ.setdefault(tau1(g), []).append((g, escaping.key(g)))
     pairs = 0
-    for keys in by_germ.values():
-        for ru, eu in keys:
-            for rv, ev in keys:
-                assert _cmp(ru, rv) == _cmp(eu, ev)
+    for members in by_germ.values():
+        for u, ku in members:
+            for v, kv in members:
+                assert _cmp(ku, kv) == \
+                    ref_restriction_sign(v.inverse() * u, restriction.ctx).value
                 pairs += 1
+    for g, k in by_germ[0]:
+        assert restriction.key(g) == k, g
     assert len(by_germ) == 9 and pairs == 4185
 
 
@@ -293,6 +294,17 @@ def f_ball4():
     return list(ball({"a": a, "b": b}, 4))
 
 
+def top_disagreement(ku, kv):
+    """(sign, n) for n the top index where the sequences keyed by ku and kv
+    differ, sign > 0 when ku's is the larger there; (0, None) when they
+    agree.  Read off the first entry where the keys differ: the higher of
+    its two positions, the terminal (0,) having none."""
+    for a, b in zip(ku, kv):
+        if a != b:
+            return _cmp(a, b), max(e[0] * e[1] for e in (a, b) if len(e) == 3)
+    return 0, None
+
+
 def test_scan_top_index_is_equivariant(f_ball4):
     # (g.u)_n = g(u_{n - tau1(g)}), and g is increasing, so g.u and g.v
     # first differ tau1(g) indices above where u and v do, in the same sense
@@ -301,11 +313,34 @@ def test_scan_top_index_is_equivariant(f_ball4):
     nones = 0
     for _ in range(2000):
         u, v, g = (rng.choice(f_ball4) for _ in range(3))
-        sign, n = engine._scan(engine._bounds(u), engine._bounds(v))
-        moved = engine._scan(engine._bounds(g * u), engine._bounds(g * v))
+        sign, n = top_disagreement(engine.key(u), engine.key(v))
+        moved = top_disagreement(engine.key(g * u), engine.key(g * v))
         assert moved == (sign, None if n is None else n + tau1(g)), (u, v, g)
         nones += n is None
     assert 0 < nones < 2000
+
+
+@pytest.mark.parametrize("seed, cosets", [
+    (Fraction(1, 2), (273, 69)), (Fraction(1, 3), (375, 113))])
+def test_key_order_is_the_scan_order(f_pair, seed, cosets):
+    # the F r5 ball by escaping key and the F_+ r4 ball (generated by a and
+    # c = b^-1 a b) by restriction key: sorted, each element is Residue
+    # against the next one in its coset and Negative against the first one
+    # of the next coset
+    a, b = f_pair
+    f_ball5 = ball({"a": a, "b": b}, 5)
+    for engine, pool, ref in (
+            (EscapingEngine(EscapingContext(s0=seed)), f_ball5, ref_escaping_sign),
+            (RestrictionEngine(DiscreteInvariantSet(f_big_generator(), seed)),
+             list(ball({"a": a, "c": b.inverse() * a * b}, 4)),
+             ref_restriction_sign)):
+        keyed = sorted(((engine.key(g), g) for g in pool), key=lambda kg: kg[0])
+        count = 1
+        for (ku, u), (kv, v) in zip(keyed, keyed[1:]):
+            assert ref(v.inverse() * u, engine.ctx) == \
+                (Sign.RESIDUE if ku == kv else Sign.NEGATIVE), (u, v)
+            count += ku != kv
+        assert count == cosets[isinstance(engine, RestrictionEngine)]
 
 
 @pytest.mark.parametrize("name", ["escaping", "restriction"])
@@ -483,6 +518,42 @@ def test_act_is_an_action(act_cases, name):
         g, h, x = (rng.choice(pool) for _ in range(3))
         k = engine.key(x)
         assert engine.act(g)(engine.act(h)(k)) == engine.act(g * h)(k), (g, h, x)
+
+
+@pytest.mark.parametrize("name", ["escaping", "restriction"])
+def test_act_forms_no_product(f_ball4, name, monkeypatch):
+    # act reads x's entries off its key and evaluates g on them: with the
+    # group law and inverses refusing to run, it still gives key(g x)
+    if name == "escaping":
+        engine, pool = EscapingEngine(EscapingContext()), f_ball4
+    else:
+        engine = RestrictionEngine(DiscreteInvariantSet(f_big_generator()))
+        pool = [g for g in f_ball4 if tau1(g) == 0]
+    rng = random.Random(f"act-no-product/{name}")
+    pairs = [(rng.choice(pool), rng.choice(pool)) for _ in range(200)]
+    expected = [engine.key(g * x) for g, x in pairs]
+
+    def refuse(*args):
+        raise AssertionError("act formed a product")
+
+    monkeypatch.setattr(PLMap, "__mul__", refuse)
+    monkeypatch.setattr(PLMap, "inverse", refuse)
+    for (g, x), k in zip(pairs, expected):
+        assert engine.act(g)(engine.key(x)) == k, (g, x)
+
+
+@pytest.mark.parametrize("desc", ["jump:right,lex", "jump:right,opp", "jump:left,lex",
+                                  "jump:left,opp", "prime:2", "prime:3", "escaping",
+                                  "restriction", "plante"])
+def test_keys_are_hashable(desc):
+    # a frame's cosets are the distinct keys of its ball, so a dict of the
+    # keys has one entry per frame point; the symbolic engine, left out,
+    # still keys by a comparison of tail sets
+    engine = parse_engine(desc)
+    gens = _FAMILIES[_DEFAULT_FAMILY[desc.partition(":")[0]]]()
+    frame = build_frame(engine, gens, radius=4)
+    keys = {engine.key(g): g for g in ball(gens, 4)}
+    assert len(keys) == len(frame)
 
 
 _BS2_ATOMS = [translation(1), bs_g_plus(0, 2), translation(-1), bs_g_plus(0, 2) ** -1,

@@ -249,25 +249,30 @@ class TestClassifyPredicted:
 
 
 class TestPredictionSweep:
-    """Every radius-3 word of BS(2) against the frames of the four jump
-    engines: the empirical verdict never contradicts the prediction at the
-    engine's focal end.
+    """Every radius-3 word of each engine's default family against its
+    frames: the empirical verdict never contradicts the prediction at the
+    engine's focal end.  These are the engines classify prints a
+    prediction for: the four jump engines (BS(2)), escaping (F, focused at
+    1) and ok (the line pair, focused at +infinity).
 
-    The right engines are swept at r5 only: at r4 their frame does not
+    The right jump engines are swept at r5 only: at r4 their frame does not
     reach x = 4, the only fixed point of t(1)*t(1)*g+(0,2)^-1 and of
     g+(0,2)*t(1)^-1*t(1)^-1, and both read opposite to the prediction there.
     """
 
     @pytest.mark.parametrize("desc, radius", [
         ("jump:left,lex", 4), ("jump:left,lex", 5), ("jump:left,opp", 4),
-        ("jump:left,opp", 5), ("jump:right,lex", 5), ("jump:right,opp", 5)])
-    def test_consistent(self, bs_gens, desc, radius):
+        ("jump:left,opp", 5), ("jump:right,lex", 5), ("jump:right,opp", 5),
+        ("escaping", 4), ("escaping", 5), ("ok", 4), ("ok", 5)])
+    def test_consistent(self, desc, radius):
         engine = parse_engine(desc)
-        frame = build_frame(engine, bs_gens, radius=radius)
-        words = [(g, w) for g, w in ball(bs_gens, 3).items() if w]
+        gens = _FAMILIES[_DEFAULT_FAMILY[desc.partition(":")[0]]]()
+        frame = build_frame(engine, gens, radius=radius)
+        words = [(g, w) for g, w in ball(gens, 3).items() if w]
         assert len(words) == 52
+        side = getattr(engine, "side", "right")
         bad = [w for g, w in words
-               if not consistent(classify_predicted(g, engine.side),
+               if not consistent(classify_predicted(g, side),
                                  classify_empirical(frame, g))]
         assert bad == []
 
