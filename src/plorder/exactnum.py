@@ -151,38 +151,43 @@ def _solve_integer_system(cols: list[list[int]], target: list[int]) -> list[int]
     Exact Gaussian elimination over Q; the caller guarantees the columns are
     linearly independent so any solution is unique.
     """
-    m = len(target)
-    k = len(cols)
+    m, k = len(target), len(cols)
     # augmented matrix, rows = primes
     rows = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
             for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(k):
-        pr = next((i for i in range(r, m) if rows[i][c] != 0), None)
+    for c in range(k):  # column c pivots in row c
+        pr = next((i for i in range(c, m) if rows[i][c] != 0), None)
         if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [v / pv for v in rows[r]]
+            raise IndependenceViolation("generators are multiplicatively dependent")
+        rows[c], rows[pr] = rows[pr], rows[c]
+        pv = rows[c][c]
+        rows[c] = [v / pv for v in rows[c]]
         for i in range(m):
-            if i != r and rows[i][c] != 0:
+            if i != c and rows[i][c] != 0:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    if len(pivots) < k:
-        raise IndependenceViolation("generators are multiplicatively dependent")
-    sol = [Fraction(0)] * k
-    for i, c in enumerate(pivots):
-        sol[c] = rows[i][k]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     # consistency: zero rows must have zero rhs
-    for i in range(r, m):
-        if rows[i][k] != 0:
-            raise NotInGroup("no exponent vector exists")
+    if any(rows[i][k] for i in range(k, m)):
+        raise NotInGroup("no exponent vector exists")
+    sol = [rows[i][k] for i in range(k)]
     if any(s.denominator != 1 for s in sol):
         raise NotInGroup("exponent vector is not integral")
     return [int(s) for s in sol]
+
+
+def _solve_rank_one(cols: list[list[int]], target: list[int]) -> list[int]:
+    """_solve_integer_system for one column, raising as it does: one
+    integer division at the column's first nonzero entry."""
+    [col] = cols
+    i = next((i for i, c in enumerate(col) if c), None)
+    if i is None:
+        raise IndependenceViolation("generators are multiplicatively dependent")
+    if any(t * col[i] != c * target[i] for c, t in zip(col, target)):
+        raise NotInGroup("no exponent vector exists")
+    x, rem = divmod(target[i], col[i])
+    if rem:
+        raise NotInGroup("exponent vector is not integral")
+    return [x]
 
 
 class SlopeGroup:
@@ -200,20 +205,17 @@ class SlopeGroup:
         self.generators = gens
         self.primes = primes
         self._cols = [exponent_vector(g, primes) for g in gens]
+        self._solve = _solve_rank_one if len(gens) == 1 else _solve_integer_system
         # independence check: solving for 0 must give the zero vector, and
         # the columns must have full rank
-        _solve_integer_system(self._cols, [0] * len(primes))
+        self._solve(self._cols, [0] * len(primes))
 
     @property
     def rank(self) -> int:
         return len(self.generators)
 
     def decompose(self, r) -> tuple[int, ...]:
-        r = Fraction(r)
-        if r <= 0:
-            raise ValueError("positive rationals only")
-        target = exponent_vector(r, self.primes)
-        return tuple(_solve_integer_system(self._cols, target))
+        return tuple(self._solve(self._cols, exponent_vector(r, self.primes)))
 
     def product(self, vec) -> Fraction:
         if len(vec) != self.rank:

@@ -120,10 +120,11 @@ def restriction_sign(g: PLMap, K: DiscreteInvariantSet) -> Sign:
 # difference, and (g x)' = g'(x) x' makes the profile of g x at z g's at z
 # plus x's at g^-1(z).
 
-def _profile(outer: tuple, jumps) -> tuple:
-    """The key (outer, (s, s*t, v), ..., (0,)) of a step profile: its outer
-    value, then one entry per nonzero jump v at position t, for (t, v) in
-    decreasing t, where s = +-1 is the sign of v.
+def _profile(outer: tuple, jumps, signed=None) -> tuple:
+    """The key (outer, (s, c, v, p), ..., (0,)) of a step profile: its
+    outer value, then one entry per nonzero jump v at raw position p, for
+    (p, v) in decreasing position, where s = +-1 is the sign of v and c
+    sorts as s*t: s*p for integer positions, else signed(s, p), a code.
 
     Two profiles that agree above a point have the same entries there, and
     at that point comparing the jumps compares the summed values, so tuple
@@ -131,39 +132,39 @@ def _profile(outer: tuple, jumps) -> tuple:
     """
     zero = (0,) * len(outer)
     out = [outer]
-    for t, v in jumps:
+    for p, v in jumps:
         if v != zero:
             s = 1 if v > zero else -1
-            out.append((s, s * t, v))
+            out.append((s, s * p if signed is None else signed(s, p), v, p))
     out.append((0,))
     return tuple(out)
 
 
-def _profile_act(gkey: tuple, push):
+def _profile_act(gkey: tuple, push, signed=None):
     """k -> the key of g x for gkey = key(g) and k = key(x), when the
-    profile of g x is g's plus x's moved by g: x's jumps go to their
-    positions' images under push and merge with g's, jumps on one point
-    add, and the outer values add."""
+    profile of g x is g's plus x's moved by g: x's jumps go to their raw
+    positions' images under push and merge with g's (raw positions compare
+    as positions), jumps on one point add, and the outer values add."""
     g0, gents = gkey[0], gkey[1:-1]
     zero = (0,) * len(g0)
-    gts = [s * c for s, c, _ in gents]
-    ng = len(gts)
+    gps = [e[3] for e in gents]
+    ng = len(gps)
 
     def act(k: tuple) -> tuple:
         out = [tuple(map(add, g0, k[0]))]
         i = 0
-        for s, c, v in k[1:-1]:
-            t = push(s * c)
-            while i < ng and gts[i] > t:
+        for s, _, v, p in k[1:-1]:
+            p = push(p)
+            while i < ng and gps[i] > p:
                 out.append(gents[i])
                 i += 1
-            if i < ng and gts[i] == t:
+            if i < ng and gps[i] == p:
                 v = tuple(map(add, gents[i][2], v))
                 i += 1
                 if v == zero:
                     continue
                 s = 1 if v > zero else -1
-            out.append((s, s * t, v))
+            out.append((s, s * p if signed is None else signed(s, p), v, p))
         out += gents[i:]
         out.append((0,))
         return tuple(out)
@@ -177,22 +178,49 @@ def _key_sign(key: tuple) -> Sign:
     return Sign((key > ident) - (key < ident))
 
 
+def _position(n: int, d: int) -> tuple:
+    """The raw position (code, n, d) of n/d, d > 0, in lowest terms.  The
+    code lists the continued-fraction terms from Euclid's algorithm as
+    0, +-a_i, signs alternating from +, closed by the sign opposite the
+    last term's for the infinite term after it: tuple order is the order
+    of the rationals, one code each.  Euclid's last divisor is gcd(n, d)."""
+    code, s, a, b = [], 1, n, d
+    while b:
+        q, r = divmod(a, b)
+        code += 0, s * q
+        a, b, s = b, r, -s
+    return (*code, s), n // a, d // a
+
+
+def _signed_code(s: int, p: tuple) -> tuple:
+    """The code of s*t, for p the raw position of t."""
+    return p[0] if s > 0 else _position(-p[1], p[2])[0]
+
+
 def _breaks(g: PLMap, side: str) -> list:
-    """(t, (n, d)) per breakpoint b of g, read from the outer end: t = g(b)
-    on the right and -g(b) on the left, and n/d, not reduced, is the inner
-    slope over the outer one, the one on b's side toward the outer end.
-    Read from g's integer pieces: t is the one Fraction built."""
+    """(p, (n, d)) per breakpoint b of g, read from the outer end: p is the
+    raw position of t = g(b) on the right and -g(b) on the left, and n/d,
+    not reduced, is the inner slope over the outer one, the one on b's side
+    toward the outer end.  Read from g's integer pieces; no Fraction."""
     out = []
     for (xn, xd), (sn, sd, on, od), (rn, rd, _, _) in zip(g._b, g._p, g._p[1:]):
         n, d = sn * xn * od + on * sd * xd, sd * xd * od
-        out.append((Fraction(n, d), (sn * rd, sd * rn)) if side == "right"
-                   else (Fraction(-n, d), (rn * sd, rd * sn)))
+        out.append((_position(n, d), (sn * rd, sd * rn)) if side == "right"
+                   else (_position(-n, d), (rn * sd, rd * sn)))
     return out[::-1] if side == "right" else out
 
 
 def _push(g: PLMap, side: str):
-    """t -> the position of g(y), for t the position of y."""
-    return g if side == "right" else lambda t: -g(-t)
+    """p -> the raw position of g(y), for p that of y = +-n/d, through g's
+    integer pieces: the piece found by cross-multiplication."""
+    e, bps, pieces = 1 if side == "right" else -1, g._b, g._p
+
+    def push(p: tuple) -> tuple:
+        n, d = e * p[1], p[2]
+        sn, sd, on, od = pieces[sum(bn * d <= n * bd for bn, bd in bps)]
+        return _position(e * (sn * n * od + on * sd * d), sd * d * od)
+
+    return push
 
 
 class JumpEngine:
@@ -225,13 +253,13 @@ class JumpEngine:
         return v
 
     def key(self, g: PLMap) -> tuple:
-        return _profile((0,) * len(self.order.rows),
-                        [(t, self._value(r)) for t, r in _breaks(g, self.side)])
+        jumps = [(p, self._value(r)) for p, r in _breaks(g, self.side)]
+        return _profile((0,) * len(self.order.rows), jumps, _signed_code)
 
     def act(self, g: PLMap):
         """k -> key(g x) for k = key(x): by the chain rule x's jumps move
         through g and add to g's."""
-        return _profile_act(self.key(g), _push(g, self.side))
+        return _profile_act(self.key(g), _push(g, self.side), _signed_code)
 
     def sign(self, g: PLMap) -> Sign:
         return _key_sign(self.key(g))
@@ -262,12 +290,12 @@ class PrimeJumpEngine:
         q = self.q
         sn, sd, _, _ = g._p[-1]
         return _profile((valuation(sn, q) - valuation(sd, q),),
-                        [(t, (valuation(n, q) - valuation(d, q),))
-                         for t, (n, d) in _breaks(g, "right")])
+                        [(p, (valuation(n, q) - valuation(d, q),))
+                         for p, (n, d) in _breaks(g, "right")], _signed_code)
 
     def act(self, g: PLMap):
         """k -> key(g x) for k = key(x); nu_q is additive in the slope."""
-        return _profile_act(self.key(g), _push(g, "right"))
+        return _profile_act(self.key(g), _push(g, "right"), _signed_code)
 
     def sign(self, g: PLMap) -> Sign:
         return _key_sign(self.key(g))
@@ -325,7 +353,7 @@ class EscapingEngine:
         n - t below g's first breakpoint: g is linear on x's entries from
         there down.  Each is monotone in n, so r is constant below that n."""
         t, s, bps = self._tau(g), self.ctx.s, g._b
-        xjumps = [(sg * c, v) for sg, c, (v,) in k[1:-1]]
+        xjumps = [(p, v) for _, _, (v,), p in k[1:-1]]
         top = bps[-1] if bps else (0, 1)
         hi = self._hi.get(top)  # memoised per top breakpoint
         if hi is None:

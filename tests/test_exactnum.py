@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,6 +10,8 @@ from plorder.exactnum import (
     NotInGroup,
     PRIME_TEST_LIMIT,
     SlopeGroup,
+    _solve_integer_system,
+    _solve_rank_one,
     exponent_vector,
     factorize,
     format_rational,
@@ -98,6 +101,37 @@ class TestSlopeGroup:
         from plorder.exactnum import IndependenceViolation
         with pytest.raises(IndependenceViolation):
             SlopeGroup([2, 4])
+        with pytest.raises(IndependenceViolation):  # the rank-one path
+            SlopeGroup([1])
+
+    @pytest.mark.parametrize("gen, outcomes", [
+        (2, {"solved"}),
+        (4, {"solved", "exponent vector is not integral"}),
+        (Fraction(3, 2), {"solved", "no exponent vector exists"}),
+        (6, {"solved", "no exponent vector exists"})])
+    def test_rank_one_division_is_elimination(self, gen, outcomes):
+        # every exponent vector in a box over the generator's primes: the
+        # integral multiples of its column, the vectors on its line that are
+        # not integral multiples, and the vectors off its line
+        def solve(f, *args):
+            try:
+                return f(*args)
+            except ValueError as e:
+                return type(e), str(e)
+
+        gen = Fraction(gen)
+        primes = sorted(factorize(gen.numerator) | factorize(gen.denominator))
+        col, group = exponent_vector(gen, primes), SlopeGroup([gen])
+        seen = set()
+        for target in map(list, product(range(-4, 5), repeat=len(primes))):
+            expected = solve(_solve_integer_system, [col], target)
+            assert solve(_solve_rank_one, [col], target) == expected, target
+            seen.add(expected[1] if isinstance(expected, tuple) else "solved")
+            if isinstance(expected, list):
+                assert group.decompose(group.product(expected)) == tuple(expected)
+        assert seen == outcomes
+        with pytest.raises(NotInGroup, match="not available"):
+            group.decompose(Fraction(5, 7))
 
     def test_decompose_exhaustive_oracle(self):
         # oracle: exhaustive search over small exponent boxes

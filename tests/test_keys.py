@@ -11,11 +11,12 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from functools import reduce
+from collections import Counter
+from functools import partial, reduce
 from operator import mul
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plorder.cli import _DEFAULT_FAMILY, _FAMILIES, parse_engine
 from plorder.exactnum import LatticePreorder, SlopeGroup, valuation
@@ -40,10 +41,10 @@ from plorder.preorders import (
     RestrictionEngine,
     Sign,
     SlopeNotInGroup,
-    _profile,
+    _position,
     xg,
 )
-from plorder.realize import build_frame
+from plorder.realize import build_frame, classify_empirical, induced_map
 from plorder.symsets import SymbolicEngine, line_generators, ok_compare
 
 
@@ -298,10 +299,10 @@ def top_disagreement(ku, kv):
     """(sign, n) for n the top index where the sequences keyed by ku and kv
     differ, sign > 0 when ku's is the larger there; (0, None) when they
     agree.  Read off the first entry where the keys differ: the higher of
-    its two positions, the terminal (0,) having none."""
+    its two raw positions, the terminal (0,) having none."""
     for a, b in zip(ku, kv):
         if a != b:
-            return _cmp(a, b), max(e[0] * e[1] for e in (a, b) if len(e) == 3)
+            return _cmp(a, b), max(e[3] for e in (a, b) if len(e) == 4)
     return 0, None
 
 
@@ -425,8 +426,68 @@ def test_jump_memo_refuses_slopes_outside_the_group_every_time():
 
 
 # ---------------------------------------------------------------------------
-# Integer keys against the Fraction formula they replace
+# Integer keys against the Fraction profiles they replace
 # ---------------------------------------------------------------------------
+
+def _decode(c):
+    """The continued-fraction terms a0, a1, ... of a code, and the value."""
+    terms = [a * (-1) ** i for i, a in enumerate(c[1::2])]
+    value = Fraction(terms[-1])
+    for a in reversed(terms[:-1]):
+        value = a + 1 / value
+    return terms, value
+
+
+_BIG = 2 ** 64
+rationals = st.builds(
+    Fraction,
+    st.integers(-40, 40) | st.integers(-_BIG ** 2, _BIG ** 2),
+    st.sampled_from([1, 2, 3, 64, _BIG, _BIG + 1, 3 * _BIG]) | st.integers(1, _BIG ** 2))
+
+
+@given(rationals, rationals)
+@example(Fraction(0), Fraction(-1))
+@example(Fraction(2), Fraction(5, 2))
+@example(Fraction(1, _BIG + 1), Fraction(1, _BIG))
+def test_code_is_the_order_of_the_rationals(x, y):
+    cx, cy = (_position(*z.as_integer_ratio())[0] for z in (x, y))
+    assert (cx < cy) == (x < y) and (cx == cy) == (x == y)
+
+
+def test_code_sorts_every_small_rational():
+    # one code may extend another (1/2 = [0; 2] and 2/5 = [0; 2, 2]); the
+    # closing sign orders such pairs
+    pool = sorted({Fraction(n, d) for n in range(-30, 31) for d in range(1, 13)})
+    codes = [_position(*x.as_integer_ratio())[0] for x in pool]
+    assert codes == sorted(codes) and len(set(codes)) == len(pool)
+
+
+@given(rationals)
+@example(Fraction(0))
+@example(Fraction(-7))
+@example(Fraction(-1, 3 * _BIG))
+def test_code_decodes_to_its_rational(x):
+    c, n, d = _position(x.numerator * 3, x.denominator * 3)
+    assert (n, d) == x.as_integer_ratio()
+    terms, value = _decode(c)
+    assert value == x
+    assert c[::2] == (0,) * len(terms) + (-(-1) ** (len(terms) - 1),)
+    assert all(a >= 1 for a in terms[1:])
+    assert len(terms) == 1 or terms[-1] >= 2
+
+
+def fraction_profile(outer: tuple, jumps) -> tuple:
+    """The step-profile key with Fraction positions: (outer, (s, s*t, v),
+    ..., (0,)) for the nonzero jumps v at t, in decreasing t."""
+    zero = (0,) * len(outer)
+    out = [outer]
+    for t, v in jumps:
+        if v != zero:
+            s = 1 if v > zero else -1
+            out.append((s, s * t, v))
+    out.append((0,))
+    return tuple(out)
+
 
 def fraction_breaks(g, side):
     """(t, inner slope, outer slope) per breakpoint b of g as Fractions,
@@ -439,15 +500,29 @@ def fraction_breaks(g, side):
 
 
 def fraction_jump_key(engine, g):
-    return _profile((0,) * len(engine.order.rows),
-                    [(t, engine.order.values(engine.group.decompose(a / b)))
-                     for t, a, b in fraction_breaks(g, engine.side)])
+    return fraction_profile((0,) * len(engine.order.rows),
+                            [(t, engine.order.values(engine.group.decompose(a / b)))
+                             for t, a, b in fraction_breaks(g, engine.side)])
 
 
 def fraction_prime_key(q, g):
-    return _profile((valuation(g.slopes[-1], q),),
-                    [(t, (valuation(a, q) - valuation(b, q),))
-                     for t, a, b in fraction_breaks(g, "right")])
+    return fraction_profile((valuation(g.slopes[-1], q),),
+                            [(t, (valuation(a, q) - valuation(b, q),))
+                             for t, a, b in fraction_breaks(g, "right")])
+
+
+def assert_keys_are_the_fraction_keys(key, oracle, pool):
+    # the pool sorts alike under both keys, with the same equality classes,
+    # and each entry holds the oracle's sign, value and position t = n/d
+    keys, refs = [key(g) for g in pool], [oracle(g) for g in pool]
+    order = sorted(range(len(pool)), key=keys.__getitem__)
+    assert order == sorted(range(len(pool)), key=refs.__getitem__)
+    for i, j in zip(order, order[1:]):
+        assert (keys[i] == keys[j]) == (refs[i] == refs[j]), (pool[i], pool[j])
+    for g, k, ref in zip(pool, keys, refs):
+        assert k[0] == ref[0] and len(k) == len(ref), g
+        for (s, _, v, (_, n, d)), (rs, rst, rv) in zip(k[1:-1], ref[1:-1]):
+            assert (s, v, (n, d)) == (rs, rv, (rs * rst).as_integer_ratio()), g
 
 
 @pytest.mark.parametrize("engine", [
@@ -456,9 +531,13 @@ def fraction_prime_key(q, g):
     JumpEngine(group=SlopeGroup([2, 3])),
     JumpEngine(side="left", group=SlopeGroup([2, 3])),
 ], ids=repr)
-def test_jump_keys_match_the_fraction_formula(engine):
-    for g in ball({"t(1)": translation(1), "g+(0,2)": bs_g_plus(0, 2)}, 5):
-        assert engine.key(g) == fraction_jump_key(engine, g), g
+def test_jump_keys_match_the_fraction_formula(engine, balls5):
+    if engine.group.rank == 1:  # BS(2), radius 5
+        pool = balls5["bs2"]
+    else:  # <2, 3>, radius 4
+        pool = list(ball({"t(1)": translation(1), "g+(0,2)": bs_g_plus(0, 2),
+                          "g+(0,3)": bs_g_plus(0, 3)}, 4))
+    assert_keys_are_the_fraction_keys(engine.key, partial(fraction_jump_key, engine), pool)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -466,11 +545,34 @@ def test_prime_keys_match_the_fraction_formula(q):
     # the PL_Q ball of t(1) and g(0,6) holds affine maps only, so g+(0,3/2)
     # puts breakpoints with rational slopes on either side into it
     gens = {"t": translation(1), "g6": bs_g(0, 6), "g+": bs_g_plus(0, Fraction(3, 2))}
-    engine = PrimeJumpEngine(q)
     elements = list(ball(gens, 4))
     assert any(g.breakpoints for g in elements)
+    assert_keys_are_the_fraction_keys(PrimeJumpEngine(q).key,
+                                      partial(fraction_prime_key, q), elements)
+
+
+@pytest.mark.parametrize("desc", ["jump:right,lex", "jump:left,opp", "prime:2"])
+def test_frames_compare_no_fractions(desc, monkeypatch):
+    # keys, their sort, the bisect of act's images and the escape walks are
+    # integer work: with the engine's memo warm, a frame build, induced maps
+    # and classifications build no Fraction and compare none
+    engine, gens = parse_engine(desc), _FAMILIES["bs2"]()
+    elements = list(ball(gens, 2))
+    build_frame(engine, gens, radius=4)  # warms the jump-value memo
+    calls = Counter()
+    for name in ("__new__", "__eq__", "__lt__", "__gt__", "__le__", "__ge__"):
+        def counting(*args, _name=name, _f=getattr(Fraction, name), **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(Fraction, name, counting)
+    assert Fraction(1, 2) == Fraction(1, 2) and sum(calls.values()) == 3  # counted
+    calls.clear()
+    frame = build_frame(engine, gens, radius=4)
     for g in elements:
-        assert engine.key(g) == fraction_prime_key(q, g), g
+        induced_map(frame, g)
+        classify_empirical(frame, g)
+    assert not calls, dict(calls)
+    assert len(frame) > 50
 
 
 # ---------------------------------------------------------------------------
