@@ -16,11 +16,9 @@ from .plgroup import (
     bs_g_minus,
     bs_g_plus,
     commutator,
-    cross_free,
     f_big_generator,
     jump_cocycle,
     standard_generators,
-    tau0,
     tau1,
     thompson_f_pair,
     translation,

@@ -2,9 +2,9 @@
 
 PLMap is a finitary orientation-preserving PL bijection of [0,1] (fixing the
 endpoints) or of the line (with affine end germs).  On top of the group law
-the module provides germ data, jump cocycles, fixed-point structure, standard
-generating sets (Thompson's F, Bieri-Strebel groups), relator verification,
-2-chain witnesses and the cross-free predicate.
+the module provides the tau1 germ homomorphism, jump cocycles, fixed-point
+structure, standard generating sets (Thompson's F, Bieri-Strebel groups),
+relator verification, 2-chain witnesses and the crossing-pair search.
 """
 
 from __future__ import annotations
@@ -316,23 +316,6 @@ class PLMap:
     def support(self) -> list:
         return self.fixed_structure().support
 
-    def germ(self, endpoint):
-        """Affine germ (slope, translation) at an endpoint.
-
-        endpoint: 0 or 1 (unit model), "-inf" or "+inf" (line model).
-        """
-        if self.model == "unit":
-            if endpoint == 0:
-                return (self.slopes[0], Fraction(0))
-            if endpoint == 1:
-                return (self.slopes[-1], self.offsets[-1])
-            raise OutOfDomain("endpoint must be 0 or 1")
-        if endpoint in ("-inf", "-oo"):
-            return (self.slopes[0], self.offsets[0])
-        if endpoint in ("+inf", "+oo"):
-            return (self.slopes[-1], self.offsets[-1])
-        raise OutOfDomain("endpoint must be '-inf' or '+inf'")
-
     # -- serialization ------------------------------------------------------
 
     def to_text(self) -> str:
@@ -394,13 +377,8 @@ def budget_mul(x, y):
 
 
 # ---------------------------------------------------------------------------
-# Germ homomorphisms for F (unit model, slopes in <2>)
+# The germ homomorphism at 1 for F (unit model, slopes in <2>)
 # ---------------------------------------------------------------------------
-
-def tau0(g: PLMap) -> int:
-    """-log2 D^+ g(0)."""
-    return -_log2(*g._p[0][:2])
-
 
 def tau1(g: PLMap) -> int:
     """-log2 D^- g(1)."""
@@ -563,31 +541,18 @@ def two_chain_witness(f: PLMap, g: PLMap, max_power: int = 10000) -> int:
 # ---------------------------------------------------------------------------
 
 def _crosses(a, b, c, d) -> bool:
-    """Open intervals (a,b), (c,d) cross: overlap without containment.
-
-    None is -inf as a left end and +inf as a right end.
-    """
-    if (b is not None and c is not None and b <= c) or \
-       (d is not None and a is not None and d <= a):
-        return False  # disjoint
-
-    def contains(p, q, r, s):  # (p,q) contains (r,s)
-        return ((p is None or (r is not None and p <= r))
-                and (q is None or (s is not None and s <= q)))
-    return not (contains(a, b, c, d) or contains(c, d, a, b))
+    """Open intervals (a,b), (c,d) with finite ends cross: overlap without
+    containment."""
+    return a < c < b < d or c < a < d < b
 
 
 def crossing_pair(intervals) -> tuple[int, int] | None:
     """Indices (i, j), i < j, of the lexicographically first crossing pair
-    of open intervals, or None when all pairs are nested or disjoint."""
+    of open intervals with finite ends, or None when all pairs are nested
+    or disjoint."""
     ivs = list(intervals)
     return next(((i, j) for i in range(len(ivs)) for j in range(i + 1, len(ivs))
                  if _crosses(*ivs[i], *ivs[j])), None)
-
-
-def cross_free(intervals) -> bool:
-    """True iff all pairs are nested or disjoint."""
-    return crossing_pair(intervals) is None
 
 
 # ---------------------------------------------------------------------------

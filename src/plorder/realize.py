@@ -13,7 +13,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left
 from itertools import groupby
-from operator import itemgetter
 
 from .plgroup import PLMap, ball, crossing_pair
 
@@ -95,34 +94,34 @@ class OrbitFrame:
 def build_frame(engine, generators: dict, basepoint=None, radius: int = 3) -> OrbitFrame:
     """Radius-L ball deduplicated into cosets and sorted by the engine's keys.
 
-    Deterministic: ball elements (each with ball's word, the first one
-    breadth-first search finds) are ordered by (word length, word) and
-    stably sorted by key, and each coset keeps its first element, so the
-    word with the fewest characters, ties broken by string order.
+    Deterministic: each coset keeps the ball element whose word (ball's
+    word, the first one breadth-first search finds) has the fewest
+    characters, ties broken by string order.  One sort of the tuples
+    (key, len(word), word, element) does both at once.
 
-    Keys are computed in that (length, word) order.  A generator h with
-    key(h) = key(basepoint) fixes the basepoint's orbit point, so
-    key(x h) = act(x)(key(h)) = key(x): an element reached from its
-    parent by such a generator gets the parent's key object.  The parent
-    is read off the word (ball appends "*" and one generator name), so
-    every element is keyed when a generator name contains "*".
+    The ball is walked once, in breadth-first order.  A generator h with
+    key(h) = key(basepoint) fixes the basepoint's orbit point, so by left
+    invariance key(x h) = act(x)(key(h)) = key(x).  The word of x h is x's
+    word, "*" and h's name, which is longer, so x h never represents its
+    coset: every element reached by such a generator is skipped unkeyed.
+    The generator is read off the word's last name, so nothing is skipped
+    when a generator name is empty or contains "*".
     """
     elements = ball(generators, radius, identity=basepoint)
-    items = sorted(elements.items(), key=lambda kv: (len(kv[1]), kv[1]))
-    inherit = all(name and "*" not in name for name in generators)
-    key_of = {}  # word -> key
-    fixes = {}   # generator name -> whether it fixes the basepoint's key
-    for el, word in items:
-        parent, star, name = word.rpartition("*")
-        if fixes.get(name):
-            key_of[word] = key_of[parent]
+    skip = all(name and "*" not in name for name in generators)
+    fixes = set()  # generator names that fix the basepoint's orbit point
+    keyed = []
+    for el, word in elements.items():
+        star, name = word.rpartition("*")[1:]
+        if name in fixes:
             continue
-        k = key_of[word] = engine.key(el)
-        if inherit and word and not star:
-            fixes[name] = k == key_of[""]
-    keyed = sorted(((key_of[word], el, word) for el, word in items), key=itemgetter(0))
+        k = engine.key(el)
+        keyed.append((k, len(word), word, el))
+        if skip and word and not star and k == keyed[0][0]:
+            fixes.add(name)
+    keyed.sort()
     points, words, keys = [], {}, []
-    for k, el, word in keyed:
+    for k, _, word, el in keyed:
         if not keys or keys[-1] != k:
             points.append(el)
             words[el] = word or "e"
@@ -235,40 +234,27 @@ def classify_empirical(frame: OrbitFrame, g, power_bound: int = 8) -> DynType:
 # Predicted classification from exact germ and fixed-point data
 # ---------------------------------------------------------------------------
 
-def _mirror(g: PLMap) -> PLMap:
-    """r g r for the reflection r: x -> -x (line) or x -> 1 - x (unit); its
-    germ at the right end is g's germ at the left end, turned around."""
-    c = 0 if g.model == "line" else 1
-    return PLMap(g.model, [c - b for b in reversed(g.breakpoints)],
-                 list(reversed(g.slopes)),
-                 [c - c * s - o for s, o in zip(reversed(g.slopes), reversed(g.offsets))])
-
-
 def classify_predicted(g: PLMap, side: str = "right") -> DynType:
     """Expected dynamical type of g in a realization focused at one end.
 
     side is the focal end in JumpEngine.side's terms: "right" is +infinity
-    (line model) or 1 (unit model), "left" is -infinity or 0, read as the
-    right end of the mirror image of g.  The germ at the focal end decides:
-    trivial germ means TotallyBounded; a germ moving points toward the end
-    is expanding, away is contracting (unit model at 1: slope < 1 expands;
-    line model at +infinity: slope > 1, or slope 1 with positive offset,
+    (line model) or 1 (unit model), "left" is -infinity or 0.  The germ at
+    the focal end, g's last or first piece x -> s*x + o, decides: trivial
+    germ means TotallyBounded; a germ moving points toward the end is
+    expanding, away is contracting (unit model: s < 1 expands at either
+    end; line model: s > 1, or s = 1 with o moving points toward the end,
     expands); a pseudohomothety upgrades to a homothety when g has no fixed
     points in the model (interior fixed points, for the unit model).
     """
     if side not in ("right", "left"):
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    if side == "left":
-        g = _mirror(g)
-    if g.is_identity():
-        return DynType.TOTALLY_BOUNDED
+    sn, sd, on, _ = g._p[-1] if side == "right" else g._p[0]
     if g.model == "unit":
-        s = g.slopes[-1]
-        trivial, expanding = s == 1, s < 1
+        trivial, expanding = sn == sd, sn < sd
         fixed_free = not any(hi > 0 and lo < 1 for lo, hi in g.fixed_structure().fixed)
     else:
-        s, c = g.germ("+inf")
-        trivial, expanding = s == 1 and c == 0, s > 1 or (s == 1 and c > 0)
+        toward = on if side == "right" else -on
+        trivial, expanding = sn == sd and on == 0, sn > sd or (sn == sd and toward > 0)
         fixed_free = not g.fixed_structure().fixed
     if trivial:
         return DynType.TOTALLY_BOUNDED

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import total_ordering
 from operator import itemgetter
 
 from .plante import MINUS_INFINITY
@@ -177,13 +177,16 @@ class WordPair:
 _Piece = tuple[Fraction, int]  # d + 2^-k * K0
 
 
+@total_ordering
 class TailSet:
     """Canonical form: implicit integer translates n + K0 for n < lo and
     n >= hi, plus explicit pieces inside [lo, hi).
 
     Invariant: the canonical pieces are spatially ascending, pairwise
     disjoint and lie strictly inside [lo, hi), so the tails below lo, the
-    pieces and the tails from hi on are already in order (_materialize)."""
+    pieces and the tails from hi on are already in order (_materialize).
+    A set has one canonical form, so == is ok_compare(a, b) == 0, and < is
+    ok_compare(a, b) < 0: a tail set is its own sort key."""
 
     __slots__ = ("pair", "lo", "hi", "pieces")
 
@@ -232,6 +235,11 @@ class TailSet:
             return NotImplemented
         return (self.pair, self.lo, self.hi, self.pieces) == \
             (other.pair, other.lo, other.hi, other.pieces)
+
+    def __lt__(self, other):
+        if not isinstance(other, TailSet):
+            return NotImplemented
+        return _compare(self, other)[0] < 0
 
     def __hash__(self):
         return hash((self.pair, self.lo, self.hi, self.pieces))
@@ -381,9 +389,6 @@ def ok_compare(a: TailSet, b: TailSet) -> int:
     return _compare(a, b)[0]
 
 
-_ok_key = cmp_to_key(ok_compare)
-
-
 def alpha(a: TailSet, b: TailSet):
     """Supremum of the symmetric difference (the top disagreement point);
     MINUS_INFINITY for equal sets.  Ultrametric and action-equivariant."""
@@ -414,18 +419,18 @@ def line_generators() -> dict[str, PLMap]:
 
 class SymbolicEngine:
     """sign(g) = comparison of g(K) against K for the base tail set K; the
-    key of g is g(K), compared with ok_compare."""
+    key of g is the tail set g(K), which orders itself by ok_compare."""
 
     def __init__(self, pair: WordPair | None = None):
         self.pair = pair or WordPair()
         self.base = TailSet.base(self.pair)
 
-    def key(self, g: PLMap):
-        return _ok_key(self.base.image(g))
+    def key(self, g: PLMap) -> TailSet:
+        return self.base.image(g)
 
     def act(self, g: PLMap):
         """k -> key(g x) for k = key(x): g x (K) is the image of x(K)."""
-        return lambda k: _ok_key(k.obj.image(g))
+        return lambda k: k.image(g)
 
     def sign(self, g: PLMap) -> Sign:
         return Sign(ok_compare(self.base.image(g), self.base))

@@ -14,12 +14,10 @@ from plorder.plgroup import (
     bs_g_minus,
     bs_g_plus,
     commutator,
-    cross_free,
     f_big_generator,
     jump_cocycle,
     relator_defects,
     standard_generators,
-    tau0,
     tau1,
     thompson_f_pair,
     translation,
@@ -71,7 +69,6 @@ class TestPLMap:
 
     def test_germ_and_tau(self):
         f0 = f_big_generator()
-        assert tau0(f0) == -1         # slope 2 at 0 (tau0 = -log2 slope)
         assert tau1(f0) == 1          # slope 1/2 at 1 (tau1 = -log2 slope)
         a, b = thompson_f_pair()
         assert tau1(a) == 0 and tau1(b) == 1
@@ -375,26 +372,6 @@ class TestTwoChain:
         with pytest.raises(HypothesisFailed) as ei:
             two_chain_witness(G_BUMP, F_BUMP)
         assert ei.value.which == "ii" 
-
-
-class TestIntervalCombinatorics:
-    def test_cross_free(self):
-        assert cross_free([(0, 1), (2, 3)])
-        assert cross_free([(0, 3), (1, 2)])
-        assert not cross_free([(0, 2), (1, 3)])
-        assert cross_free([(None, 0), (1, None)])
-        assert not cross_free([(None, 2), (1, 3)])
-        # open intervals sharing an endpoint are disjoint
-        assert cross_free([(0, 3), (3, 5)])
-        # equal intervals are nested
-        assert cross_free([(1, 4), (1, 4)])
-        assert cross_free([(None, None), (None, None)])
-        # None is -inf as a left end and +inf as a right end
-        assert cross_free([(None, None), (1, 2)])
-        assert cross_free([(None, 2), (None, 5)])
-        assert cross_free([(None, 1), (1, None)])
-        assert not cross_free([(None, 2), (1, None)])
-        assert not cross_free([(0, None), (None, 1)])
 
 
 class TestCommutator:

@@ -86,8 +86,8 @@ class TestOrbitFrame:
 
 
 def keyed_frame(engine, generators, basepoint=None, radius=3) -> OrbitFrame:
-    """build_frame as it was before keys were inherited: every ball
-    element is keyed."""
+    """build_frame without the skip rule: every ball element is keyed, in
+    (word length, word) order, and stably sorted by key."""
     items = sorted(ball(generators, radius, identity=basepoint).items(),
                    key=lambda kv: (len(kv[1]), kv[1]))
     keyed = sorted(((engine.key(el), el, word) for el, word in items),
@@ -120,8 +120,10 @@ def _same_frame(engine, gens, radius, basepoint=None):
 
 
 class TestInheritedKeys:
-    """build_frame, which reuses the parent's key across generators that
-    fix the basepoint, against keying every element."""
+    """build_frame's skip rule against keying every element.  An element
+    reached by a generator that fixes the basepoint's orbit point inherits
+    its parent's key and has a longer word, so build_frame skips it
+    unkeyed."""
 
     @pytest.mark.parametrize("desc", TEN_ENGINES)
     def test_ten_engines(self, desc):
@@ -132,8 +134,15 @@ class TestInheritedKeys:
     def test_jump_engines_radius_five(self, desc):
         _same_frame(parse_engine(desc), _family(desc), 5)
 
+    @pytest.mark.parametrize("desc", ["prime:2", "prime:3"])
+    def test_prime_engines_radius_five(self, desc):
+        _same_frame(parse_engine(desc), _family(desc), 5)
+
     def test_plante_with_basepoint(self, plante_gens):
         _same_frame(PlanteEngine(), plante_gens, 5, WreathElement.identity())
+
+    def test_plante_radius_six(self, plante_gens):
+        _same_frame(PlanteEngine(), plante_gens, 6, WreathElement.identity())
 
     @pytest.mark.parametrize("desc, fewer", [
         ("jump:right,lex", True), ("prime:3", True), ("plante", True), ("ok", True),
@@ -246,6 +255,49 @@ class TestClassifyPredicted:
             DynType.HOMOTHETY_CONTRACTING
         with pytest.raises(ValueError):
             classify_predicted(bs_gens["t"], "sideways")
+
+
+def _mirror(g: PLMap) -> PLMap:
+    """r g r for the reflection r: x -> -x (line) or x -> 1 - x (unit); its
+    germ at the right end is g's germ at the left end, turned around."""
+    c = 0 if g.model == "line" else 1
+    return PLMap(g.model, [c - b for b in reversed(g.breakpoints)],
+                 list(reversed(g.slopes)),
+                 [c - c * s - o for s, o in zip(reversed(g.slopes), reversed(g.offsets))])
+
+
+def mirrored_predicted(g: PLMap, side: str = "right") -> DynType:
+    """classify_predicted read off validated maps: the left end is the right
+    end of the mirror image, and the germ comes from the Fraction views."""
+    if side == "left":
+        g = _mirror(g)
+    if g.is_identity():
+        return DynType.TOTALLY_BOUNDED
+    s, c = g.slopes[-1], g.offsets[-1]
+    if g.model == "unit":
+        trivial, expanding = s == 1, s < 1
+        fixed_free = not any(hi > 0 and lo < 1 for lo, hi in g.fixed_structure().fixed)
+    else:
+        trivial, expanding = s == 1 and c == 0, s > 1 or (s == 1 and c > 0)
+        fixed_free = not g.fixed_structure().fixed
+    if trivial:
+        return DynType.TOTALLY_BOUNDED
+    if expanding:
+        return (DynType.HOMOTHETY_EXPANDING if fixed_free
+                else DynType.EXPANDING_PSEUDOHOMOTHETY)
+    return (DynType.HOMOTHETY_CONTRACTING if fixed_free
+            else DynType.CONTRACTING_PSEUDOHOMOTHETY)
+
+
+@pytest.mark.parametrize("family, radius, size", [
+    ("bs2", 5, 475), ("thompsonF", 5, 485), ("fplus", 5, 475), ("line", 4, 161)])
+def test_prediction_reads_the_end_piece(family, radius, size):
+    # the germ rule on g's integer end piece against the mirror oracle
+    elements = list(ball(_FAMILIES[family](), radius))
+    assert len(elements) == size
+    for side in ("right", "left"):
+        assert [classify_predicted(g, side) for g in elements] == \
+            [mirrored_predicted(g, side) for g in elements]
 
 
 class TestPredictionSweep:

@@ -337,6 +337,17 @@ class TestOkCompare:
                 assert s == -ok_compare(B, A)
                 assert (s == 0) == (A == B)
 
+    def test_tail_set_is_its_own_key(self, pair_ball):
+        # structural == and the total_ordering operators agree with
+        # ok_compare on every pair of r4 images, for both word pairs
+        _, _, images = pair_ball
+        for A in images:
+            for B in images:
+                s = ok_compare(A, B)
+                assert (A == B) == (s == 0)
+                assert (A < B, A > B) == (s < 0, s > 0)
+        assert len(set(images)) == len({(A.lo, A.hi, A.pieces) for A in images})
+
     def test_transitivity_sampled(self, ok_ball):
         rng = random.Random(4)
         sets = list(ok_ball["images"].values())
