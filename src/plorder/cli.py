@@ -46,7 +46,13 @@ from .preorders import (
     RestrictionEngine,
     axioms_report,
 )
-from .realize import build_frame, classify_empirical, classify_predicted, induced_map
+from .realize import (
+    build_frame,
+    classify_empirical,
+    classify_predicted,
+    induced_map,
+    orbit_frame,
+)
 from .symsets import SymbolicEngine, cancellation_check, line_generators
 
 
@@ -256,7 +262,7 @@ def cmd_classify(args) -> int:
     engine = parse_engine(args.engine)
     gens = _family_for(args)
     g = parse_family_word(args.word, gens)
-    frame = build_frame(engine, gens, radius=radius)
+    frame = orbit_frame(engine, gens, radius)
     emp = classify_empirical(frame, g)
     if args.engine.partition(":")[0] in ("jump", "escaping", "ok"):
         # the engines a prediction sweep covers; escaping and ok, which

@@ -559,18 +559,14 @@ def crossing_pair(intervals) -> tuple[int, int] | None:
 # Ball enumeration (generic over group elements with * and .inverse())
 # ---------------------------------------------------------------------------
 
-def ball(generators: dict, radius: int, identity=None) -> dict:
-    """Elements of the ball of the given radius, as {element: word}.
+def expand_generators(generators: dict) -> tuple[dict, dict]:
+    """(gens, undo): the generators with their inverses, in the order ball
+    multiplies by them, and the name of the generator that undoes each.
 
-    generators: {name: element}; inverses are added automatically with
-    names suffixed by "^-1" (none for an involution), right after their
-    generator.  Breadth-first search multiplies each element of the last
-    sphere on the right by every generator in that order, and an element
-    gets the word of the first product that reaches it: its parent's word,
-    "*", and the generator's name.  So words have the fewest generators,
-    but not always the fewest characters.  A product by the generator that
-    undoes the one an element was reached by is skipped: x * g * g^-1 = x
-    is already seen.
+    Each inverse is named by suffixing "^-1" and comes right after its
+    generator; an involution gets no second name.  A later generator named
+    like an inverse ("x^-1") takes over that name, and then x has no
+    inverse in gens and no undoer.
     """
     gens, pairs = {}, []
     for name, el in generators.items():
@@ -581,12 +577,25 @@ def ball(generators: dict, radius: int, identity=None) -> dict:
             pairs.append((name, el, f"{name}^-1", inv))
         else:
             pairs.append((name, el, name, el))
-    # the undoer of each name, by construction; a later generator named like
-    # an inverse ("x^-1") takes over that name, and then x keeps none
     undo = {}
     for name, el, inv_name, inv in pairs:
         if gens[name] is el and gens[inv_name] is inv:
             undo[name], undo[inv_name] = inv_name, name
+    return gens, undo
+
+
+def ball(generators: dict, radius: int, identity=None) -> dict:
+    """Elements of the ball of the given radius, as {element: word}.
+
+    generators: {name: element}; inverses are added by expand_generators.
+    Breadth-first search multiplies each element of the last sphere on the
+    right by every generator in that order, and an element gets the word of
+    the first product that reaches it: its parent's word, "*", and the
+    generator's name.  So words have the fewest generators, but not always
+    the fewest characters.  A product by the generator that undoes the one
+    an element was reached by is skipped: x * g * g^-1 = x is already seen.
+    """
+    gens, undo = expand_generators(generators)
     if identity is None:
         some = next(iter(generators.values()))
         identity = some * some.inverse()

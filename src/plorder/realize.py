@@ -6,6 +6,11 @@ on the frame's orbit points through engine.act(g), which maps key(x) to
 key(g x) without forming g x; classify_empirical reads off the dynamical
 type of g from the trajectories of the frame extremes, and
 classify_predicted derives the expected type from exact germ data.
+
+Two builders make the same keys.  orbit_frame searches the orbit in key
+space and composes no element: it serves classification, which reads keys
+only.  build_frame composes the ball and keeps a representative element
+and its word per coset: it serves realizations, which print them.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import enum
 from bisect import bisect_left
 from itertools import groupby
 
-from .plgroup import PLMap, ball, crossing_pair
+from .plgroup import PLMap, ball, crossing_pair, expand_generators
 
 
 class DynType(enum.Enum):
@@ -55,17 +60,22 @@ def _cmp(a, b) -> int:
 
 
 class OrbitFrame:
-    """Sorted residue-coset representatives of a ball, with their words and
-    their engine keys."""
+    """The sorted engine keys of a ball's residue cosets.
 
-    def __init__(self, engine, points, words: dict, keys):
+    points (one representative element per key, in key order), words
+    ({point: word}) and word_of exist only on build_frame frames; on an
+    orbit_frame frame points and words are None.
+    """
+
+    def __init__(self, engine, keys: list, points: list | None = None,
+                 words: dict | None = None):
         self.engine = engine
-        self.points = list(points)
-        self.words = dict(words)
-        self.keys = list(keys)
+        self.keys = keys
+        self.points = points
+        self.words = words
 
     def __len__(self):
-        return len(self.points)
+        return len(self.keys)
 
     def cmp_elements(self, u, v) -> int:
         """>0 iff the coset of u lies above the coset of v."""
@@ -88,7 +98,7 @@ class OrbitFrame:
         return self.words[self.points[i]]
 
     def __repr__(self):
-        return f"OrbitFrame({len(self.points)} points, engine={self.engine!r})"
+        return f"OrbitFrame({len(self.keys)} points, engine={self.engine!r})"
 
 
 def build_frame(engine, generators: dict, basepoint=None, radius: int = 3) -> OrbitFrame:
@@ -126,7 +136,38 @@ def build_frame(engine, generators: dict, basepoint=None, radius: int = 3) -> Or
             points.append(el)
             words[el] = word or "e"
             keys.append(k)
-    return OrbitFrame(engine, points, words, keys)
+    return OrbitFrame(engine, keys, points, words)
+
+
+def orbit_frame(engine, generators: dict, radius: int = 3) -> OrbitFrame:
+    """The keys of build_frame(engine, generators, radius=radius), by a
+    breadth-first search in key space; a keys-only frame.
+
+    The radius-r ball is the radius-(r - 1) ball and its products h x by a
+    generator or inverse h on the left, and key(h x) = act(h)(key(x)); so
+    applying each generator's act to the keys of the last sphere, from the
+    identity's key, reaches every key of the ball and no other.  The
+    generators are ball's (expand_generators), and so is the identity.  A
+    key reached by act(h) skips act(h^-1), which leads back to its parent's
+    key.  Composes no element, and sorts the distinct keys once.
+    """
+    gens, undo = expand_generators(generators)
+    some = next(iter(generators.values()))
+    start = engine.key(some * some.inverse())
+    acts = {name: engine.act(h) for name, h in gens.items()}
+    seen = {start}
+    frontier = [(start, None)]
+    for _ in range(radius):
+        new = []
+        for k, back in frontier:
+            for name, act in acts.items():
+                if name != back:
+                    c = act(k)
+                    if c not in seen:
+                        seen.add(c)
+                        new.append((c, undo.get(name)))
+        frontier = new
+    return OrbitFrame(engine, sorted(seen))
 
 
 def induced_map(frame: OrbitFrame, g) -> dict[int, int]:

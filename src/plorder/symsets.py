@@ -319,8 +319,14 @@ def _hull(d: Fraction, k: int, pair: WordPair) -> tuple[Fraction, Fraction]:
 
 
 def _children(d: Fraction, k: int, pair: WordPair) -> list[_Piece]:
-    s = Fraction(1, 1 << k)
-    return [(d + s * off, k + pair.width) for off in pair.child_offsets]
+    """The two children d + 2^-k off of the piece, lowest first, each one
+    quotient: for d = n/q and off = c / 2^W (c = B, then T of
+    pair.hull_ints), (n 2^K + c q) / (q 2^K) with K = k + W."""
+    _, B, T = pair.hull_ints
+    n, q = d.numerator, d.denominator
+    K = k + pair.width
+    base, den = n << K, q << K
+    return [(Fraction(base + B * q, den), K), (Fraction(base + T * q, den), K)]
 
 
 def _merge_siblings(hulls: list, pair: WordPair) -> list:

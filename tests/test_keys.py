@@ -44,7 +44,7 @@ from plorder.preorders import (
     _position,
     xg,
 )
-from plorder.realize import build_frame, classify_empirical, induced_map
+from plorder.realize import build_frame, classify_empirical, induced_map, orbit_frame
 from plorder.symsets import SymbolicEngine, line_generators, ok_compare
 
 
@@ -554,8 +554,9 @@ def test_prime_keys_match_the_fraction_formula(q):
 @pytest.mark.parametrize("desc", ["jump:right,lex", "jump:left,opp", "prime:2"])
 def test_frames_compare_no_fractions(desc, monkeypatch):
     # keys, their sort, the bisect of act's images and the escape walks are
-    # integer work: with the engine's memo warm, a frame build, induced maps
-    # and classifications build no Fraction and compare none
+    # integer work: with the engine's memo warm, a frame build (from the
+    # ball or by the key-space search), induced maps and classifications
+    # build no Fraction and compare none
     engine, gens = parse_engine(desc), _FAMILIES["bs2"]()
     elements = list(ball(gens, 2))
     build_frame(engine, gens, radius=4)  # warms the jump-value memo
@@ -566,13 +567,15 @@ def test_frames_compare_no_fractions(desc, monkeypatch):
             return _f(*args, **kwargs)
         monkeypatch.setattr(Fraction, name, counting)
     assert Fraction(1, 2) == Fraction(1, 2) and sum(calls.values()) == 3  # counted
-    calls.clear()
-    frame = build_frame(engine, gens, radius=4)
-    for g in elements:
-        induced_map(frame, g)
-        classify_empirical(frame, g)
-    assert not calls, dict(calls)
-    assert len(frame) > 50
+    for build in (build_frame, orbit_frame):
+        calls.clear()
+        frame = build(engine, gens, radius=4)
+        assert not calls, (build.__name__, dict(calls))
+        for g in elements:
+            induced_map(frame, g)
+            classify_empirical(frame, g)
+        assert not calls, (build.__name__, dict(calls))
+        assert len(frame) > 50
 
 
 # ---------------------------------------------------------------------------

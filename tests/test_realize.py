@@ -4,7 +4,9 @@ from operator import itemgetter
 
 import pytest
 
-from plorder.cli import _DEFAULT_FAMILY, _FAMILIES, parse_engine
+from plorder import cli
+from plorder.cli import _DEFAULT_FAMILY, _FAMILIES, main, parse_engine
+from plorder.exactnum import SlopeGroup
 from plorder.plante import CSet, PlanteEngine, WreathElement
 from plorder.plgroup import (
     PLMap,
@@ -14,7 +16,7 @@ from plorder.plgroup import (
     f_big_generator,
     translation,
 )
-from plorder.preorders import JumpEngine
+from plorder.preorders import JumpEngine, PrimeJumpEngine
 from plorder.realize import (
     DynType,
     OrbitFrame,
@@ -24,6 +26,7 @@ from plorder.realize import (
     classify_predicted,
     consistent,
     induced_map,
+    orbit_frame,
 )
 
 
@@ -98,7 +101,7 @@ def keyed_frame(engine, generators, basepoint=None, radius=3) -> OrbitFrame:
             points.append(el)
             words[el] = word or "e"
             keys.append(k)
-    return OrbitFrame(engine, points, words, keys)
+    return OrbitFrame(engine, keys, points, words)
 
 
 TEN_ENGINES = ["jump:right,lex", "jump:right,opp", "jump:left,lex", "jump:left,opp",
@@ -170,15 +173,92 @@ class TestInheritedKeys:
         _same_frame(engine, gens, 3)
 
     def test_first_failure_is_unchanged(self):
-        # slope 3 lies outside <2>: the first element keyed with it raises
+        # slope 3 lies outside <2>: the first element keyed with it raises,
+        # and so does the key search's act of g3
         engine = JumpEngine()
         gens = {"t": translation(1), "g3": bs_g_plus(0, 3)}
         messages = []
-        for build in (build_frame, keyed_frame):
+        for build in (build_frame, keyed_frame, orbit_frame):
             with pytest.raises(ValueError) as e:
                 build(engine, gens, radius=3)
             messages.append(str(e.value))
-        assert messages[0] == messages[1]
+        assert messages[0] == messages[1] == messages[2]
+
+
+class TestOrbitSearch:
+    """orbit_frame's key-space search against build_frame's ball: the same
+    sorted keys, with no ball composed."""
+
+    @pytest.mark.parametrize("desc", TEN_ENGINES)
+    def test_ten_engines(self, desc):
+        engine, gens = parse_engine(desc), _family(desc)
+        for radius in (2, 3, 4, 5):
+            assert orbit_frame(engine, gens, radius).keys == \
+                build_frame(engine, gens, radius=radius).keys
+
+    def test_plante_radius_six(self, plante_gens):
+        engine = PlanteEngine()
+        assert orbit_frame(engine, plante_gens, 6).keys == \
+            build_frame(engine, plante_gens, WreathElement.identity(), radius=6).keys
+
+    @pytest.mark.parametrize("engine", [
+        PrimeJumpEngine(2), PrimeJumpEngine(3),
+        *(JumpEngine(side, SlopeGroup([2, 3])) for side in ("right", "left"))], ids=repr)
+    def test_bs23(self, engine):
+        gens = {"t(1)": translation(1), "g+(0,2)": bs_g_plus(0, 2),
+                "g+(0,3)": bs_g_plus(0, 3)}
+        for radius in (2, 3, 4):
+            assert orbit_frame(engine, gens, radius).keys == \
+                build_frame(engine, gens, radius=radius).keys
+
+    def test_inverse_name_taken_over(self):
+        # "x^-1" names g+(0,2), not t(1)^-1, so t(1)^-1 is no generator;
+        # adding every inverse would find 9 cosets at r2 and 27 at r3
+        engine = JumpEngine()
+        gens = {"x": translation(1), "x^-1": bs_g_plus(0, 2)}
+        for radius, size in ((2, 7), (3, 17)):
+            frame = orbit_frame(engine, gens, radius)
+            assert len(frame) == size
+            assert frame.keys == build_frame(engine, gens, radius=radius).keys
+
+    def test_composes_no_ball(self, bs_gens, monkeypatch):
+        products = []
+        mul = PLMap.__mul__
+        monkeypatch.setattr(PLMap, "__mul__",
+                            lambda a, b: products.append(1) or mul(a, b))
+        frame = orbit_frame(JumpEngine(), bs_gens, 5)
+        assert len(frame) == 227 and len(products) == 1  # the identity
+        assert frame.points is None and frame.words is None
+        assert repr(frame).startswith("OrbitFrame(227 points")
+
+
+# a family each engine does not act on, or acts on without being made for it
+FOREIGN = {"jump": "line", "prime": "thompsonF", "escaping": "bs2",
+           "restriction": "thompsonF", "plante": "bs2", "ok": "bs2"}
+
+
+@pytest.mark.parametrize("desc", TEN_ENGINES)
+def test_classify_reads_the_same_from_either_frame(desc, monkeypatch, capsys):
+    name = desc.partition(":")[0]
+    runs = []
+    for family in (_DEFAULT_FAMILY[name], FOREIGN[name]):
+        words = [w for w in ball(_FAMILIES[family](), 2).values() if w][:5]
+        runs += [["classify", "--engine", desc, "--family", family, "--radius", "3",
+                  "--word", w] for w in ["e", *words]]
+
+    def outputs():
+        out = []
+        for argv in runs:
+            rc = main(argv)
+            captured = capsys.readouterr()
+            out.append((rc, captured.out, captured.err))
+        return out
+
+    searched = outputs()
+    monkeypatch.setattr(cli, "orbit_frame",
+                        lambda engine, gens, radius: build_frame(engine, gens, radius=radius))
+    assert searched == outputs()
+    assert {rc for rc, _, _ in searched} <= {0, 2}
 
 
 class TestInducedMap:

@@ -10,6 +10,7 @@ from plorder.plgroup import PLMap, ball
 from plorder.preorders import Sign
 from plorder.symsets import (
     NonDyadicMap,
+    _children,
     _hull,
     SymbolicEngine,
     TailSet,
@@ -150,6 +151,18 @@ class TestAgainstFractionOracle:
                 sign, top = ref_compare(A, B)
                 assert ok_compare(A, B) == sign
                 assert alpha(A, B) == top
+
+    def test_integer_children_are_fraction_children(self, pair_ball):
+        # the images' pieces, their children and the unit cells that tails
+        # split into
+        base, _, images = pair_ball
+        pair = base.pair
+        pieces = {p for img in images for p in img.pieces}
+        pieces |= {c for p in pieces for c in ref_children(*p, pair)}
+        pieces |= {(F(n), 0) for img in images for n in range(img.lo - 1, img.hi + 1)}
+        assert len(pieces) > 100
+        for d, k in pieces:
+            assert _children(d, k, pair) == ref_children(d, k, pair)
 
     @given(n=st.integers(-10 ** 6, 10 ** 6), e=st.integers(0, 40),
            k=st.integers(0, 80), which=st.sampled_from(PAIRS))
