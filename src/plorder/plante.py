@@ -18,7 +18,7 @@ from itertools import takewhile, zip_longest
 from operator import add
 
 from .exactnum import LatticePreorder
-from .plgroup import power
+from .plgroup import nesting_forest, power
 from .preorders import Sign, _key_sign, _profile, _profile_act
 
 
@@ -244,33 +244,25 @@ class CSet:
         return f"CSet(cut={self.cut}, pattern={self.pattern})"
 
 
-def _nesting_forest(csets) -> dict:
+def _block(c: CSet) -> tuple:
+    """C(sigma, cut) as the half-open block of its members' lex Plante keys:
+    they start with P, the pattern's key less its closing (0,), then go on
+    with the close or a jump at p <= cut, entry (1, p, ...) or (-1, -p, ...)."""
+    p = _profile((0,) * c.k, c.pattern)[:-1]
+    return p + ((-1, -c.cut),), p + ((1, c.cut + 1),)
+
+
+def _nesting_forest(csets) -> dict | None:
     """{C-set: its parent, or None for a root} over the family's distinct
-    C-sets.  C(sigma, c) lies strictly inside C(tau, d) iff d > c and the
-    patterns agree above d, so the parent of (c, p) is (d, p above d) for
-    the smallest family cut d > c at which that node exists."""
-    nodes = {(c.cut, c.pattern, c.k): c for c in csets}
-    cuts = sorted({cut for cut, _, _ in nodes})
-    forest = {}
-    for (cut, pattern, k), node in nodes.items():
-        larger = (nodes.get((d, _above(pattern, d), k))
-                  for d in cuts if d > cut)
-        forest[node] = next((p for p in larger if p is not None), None)
-    return forest
+    C-sets, from their key blocks; None if two blocks cross."""
+    nodes = list(dict.fromkeys(csets))
+    parent, _ = nesting_forest(map(_block, nodes))
+    if parent is None:
+        return None
+    return {n: p if p is None else nodes[p] for n, p in zip(nodes, parent)}
 
 
 def cset_family_cross_free(csets) -> bool:
-    """True iff the C-sets are pairwise nested or disjoint, certified on
-    their nesting forest through CSet.relation: each C-set is a 'subset' of
-    its parent, and the children of each node (the roots among them) are
-    pairwise 'disjoint'.  Two C-sets with no ancestor link then lie in
-    distinct disjoint siblings, so this is exactly laminarity.
-    """
-    children = {}
-    for node, parent in _nesting_forest(csets).items():
-        if parent is not None and node.relation(parent) != "subset":
-            return False
-        children.setdefault(parent, []).append(node)
-    return all(a.relation(b) == "disjoint"
-               for sibs in children.values()
-               for i, a in enumerate(sibs) for b in sibs[i + 1:])
+    """True iff the C-sets are pairwise nested or disjoint, that is iff
+    their key blocks have a nesting forest."""
+    return _nesting_forest(csets) is not None

@@ -4,7 +4,7 @@ PLMap is a finitary orientation-preserving PL bijection of [0,1] (fixing the
 endpoints) or of the line (with affine end germs).  On top of the group law
 the module provides the tau1 germ homomorphism, jump cocycles, fixed-point
 structure, standard generating sets (Thompson's F, Bieri-Strebel groups),
-relator verification, 2-chain witnesses and the crossing-pair search.
+relator verification, 2-chain witnesses and the interval nesting forest.
 """
 
 from __future__ import annotations
@@ -540,19 +540,25 @@ def two_chain_witness(f: PLMap, g: PLMap, max_power: int = 10000) -> int:
 # Interval combinatorics
 # ---------------------------------------------------------------------------
 
-def _crosses(a, b, c, d) -> bool:
-    """Open intervals (a,b), (c,d) with finite ends cross: overlap without
-    containment."""
-    return a < c < b < d or c < a < d < b
-
-
-def crossing_pair(intervals) -> tuple[int, int] | None:
-    """Indices (i, j), i < j, of the lexicographically first crossing pair
-    of open intervals with finite ends, or None when all pairs are nested
-    or disjoint."""
+def nesting_forest(intervals) -> tuple:
+    """One stack pass over half-open intervals [lo, hi), lo < hi, with
+    comparable ends, in (lo, -hi) order: pop the intervals that end at or
+    before the current start; the current one then lies in the top one or
+    crosses it.  Returns (parent, None), parent[i] the smallest interval
+    holding interval i (an equal one counts) or None, or else (None, (i, j)),
+    i < j, the first crossing pair met."""
     ivs = list(intervals)
-    return next(((i, j) for i in range(len(ivs)) for j in range(i + 1, len(ivs))
-                 if _crosses(*ivs[i], *ivs[j])), None)
+    order = sorted(range(len(ivs)), key=lambda i: ivs[i][1], reverse=True)
+    order.sort(key=lambda i: ivs[i][0])  # stable, so (lo, -hi), then index
+    parent, stack = [None] * len(ivs), []
+    for i in order:
+        while stack and ivs[stack[-1]][1] <= ivs[i][0]:
+            stack.pop()
+        if stack and ivs[stack[-1]][1] < ivs[i][1]:
+            return None, tuple(sorted((stack[-1], i)))
+        parent[i] = stack[-1] if stack else None
+        stack.append(i)
+    return parent, None
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import enum
 from bisect import bisect_left
 from itertools import groupby
 
-from .plgroup import PLMap, ball, crossing_pair, expand_generators
+from .plgroup import PLMap, ball, expand_generators, nesting_forest
 
 
 class DynType(enum.Enum):
@@ -315,10 +315,11 @@ def cf_cover_check(frame: OrbitFrame, intervals) -> dict:
     intervals [a, b].
 
     [a, b] and [c, d] are disjoint iff b + 1 <= c or d + 1 <= a, and nested
-    iff (a, b + 1) and (c, d + 1) are, so the open-interval check decides.
+    iff [a, b + 1) and [c, d + 1) are, so their nesting forest decides; the
+    witness is the first crossing (i, j), i < j, its (a, -b) pass meets.
     """
     intervals = [tuple(sorted(map(int, iv))) for iv in intervals]
-    crossing = crossing_pair((a, b + 1) for a, b in intervals)
+    _, crossing = nesting_forest((a, b + 1) for a, b in intervals)
     covered: set[int] = set()
     for a, b in intervals:
         covered.update(range(a, b + 1))

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+from plorder import plante
 from plorder.exactnum import LatticePreorder
 from plorder.plante import (
     MINUS_INFINITY,
     CSet,
     PlanteEngine,
     WreathElement,
+    _block,
     _nesting_forest,
     cset_family_cross_free,
     delta_kernel,
@@ -175,6 +177,41 @@ def ref_relation(c, d):
     return "superset" if c is lo else "subset"
 
 
+def block_relation(c, d):
+    """CSet.relation's verdict read off the key blocks, or 'crossing'."""
+    (a, b), (x, y) = _block(c), _block(d)
+    if (a, b) == (x, y):
+        return "equal"
+    if x <= a and b <= y:
+        return "subset"
+    if a <= x and y <= b:
+        return "superset"
+    return "disjoint" if b <= x or y <= a else "crossing"
+
+
+def check_blocks(family, probes, rng):
+    """Block membership of the probes' lex Plante keys is CSet.contains, on
+    seeded draws; block nesting and disjointness is CSet.relation, on
+    seeded pairs, the diagonal and the first 60 C-sets against all."""
+    key = PlanteEngine(family[0].k).key
+    keyed = [(tau, key(tau)) for tau in probes]
+    hits = 0
+    for _ in range(20000):
+        c, (tau, k) = rng.choice(family), rng.choice(keyed)
+        lo, hi = _block(c)
+        assert (lo <= k < hi) == c.contains(tau), (c, tau)
+        hits += c.contains(tau)
+    assert 0 < hits < 20000
+    pairs = [(rng.choice(family), rng.choice(family)) for _ in range(2000)]
+    pairs += [(c, c) for c in family]
+    pairs += [(c, d) for c in family[:60] for d in family]
+    verdicts = set()
+    for c, d in pairs:
+        verdicts.add(c.relation(d))
+        assert block_relation(c, d) == c.relation(d), (c, d)
+    assert verdicts == {"equal", "subset", "superset", "disjoint"}
+
+
 class TestTopDownReaders:
     """delta, membership and relation read top-down listings; the oracles
     rebuild dicts and sets from the configurations."""
@@ -222,6 +259,21 @@ class TestTopDownReaders:
             verdicts.add(c.relation(d))
             assert c.relation(d) == ref_relation(c, d), (c, d)
         assert verdicts == {"equal", "subset", "superset", "disjoint"}
+
+    def test_blocks_on_criterion7_family(self, ball6, family7):
+        check_blocks(family7, ball6, random.Random("blocks"))
+
+    def test_blocks_on_rand_family(self):
+        rng = random.Random("blocks2")
+        family = sorted(set(rand_family(rng, 2, 40)), key=repr)
+
+        def near(c):
+            """c's pattern over seeded lamps at cut - 2 .. cut + 1."""
+            low = {x: (rng.randint(-1, 1), rng.randint(-1, 1))
+                   for x in range(c.cut - 2, c.cut + 2)}
+            return WreathElement(dict(c.pattern) | low, 0, 2)
+
+        check_blocks(family, [near(c) for c in family for _ in range(4)], rng)
 
 
 class TestDeltaKernel:
@@ -365,19 +417,23 @@ class TestNestingForest:
 
     @pytest.mark.parametrize("corrupt", ["edge", "siblings"])
     def test_misreported_relation_fails(self, corrupt, plante_gens, monkeypatch):
+        """The verdict is read off the key blocks: a block misreported so that
+        a child ends past its parent ('edge'), or so that two roots overlap
+        without nesting ('siblings'), makes the family fail."""
         elements = ball(plante_gens, 3, identity=WreathElement.identity())
         family = [CSet(sigma, cut) for sigma in elements for cut in (-1, 0, 1)]
         assert cset_family_cross_free(family)
         forest = _nesting_forest(family)
         if corrupt == "edge":
-            child = next(n for n, p in forest.items() if p is not None)
-            bad, lie = {(child, forest[child])}, "disjoint"
+            node = next(n for n, p in forest.items() if p is not None)
+            lo, hi = _block(node)[0], _block(forest[node])[1] + ((0,),)
         else:
-            roots = [n for n, p in forest.items() if p is None]
-            bad, lie = {(roots[0], roots[1]), (roots[1], roots[0])}, "subset"
-        relation = CSet.relation
-        monkeypatch.setattr(CSet, "relation", lambda a, b: lie if (a, b) in bad
-                            else relation(a, b))
+            node, other = sorted((n for n, p in forest.items() if p is None),
+                                 key=_block)[:2]
+            lo, hi = _block(node)[0], _block(other)[0] + ((0,),)
+        assert lo < _block(node)[1] < hi
+        monkeypatch.setattr(plante, "_block", lambda c: (lo, hi) if c == node
+                            else _block(c))
         assert not cset_family_cross_free(family)
 
     def test_equal_csets_collapse(self):

@@ -14,6 +14,7 @@ from plorder.plgroup import (
     bs_g_minus,
     bs_g_plus,
     f_big_generator,
+    nesting_forest,
     translation,
 )
 from plorder.preorders import JumpEngine, PrimeJumpEngine
@@ -451,7 +452,73 @@ class TestClassifyEmpirical:
         assert fixed == [e_index]
 
 
+def crosses(a, b, c, d) -> bool:
+    """Open intervals (a,b), (c,d) with finite ends cross: overlap without
+    containment."""
+    return a < c < b < d or c < a < d < b
+
+
+def crossing_pair(intervals) -> tuple[int, int] | None:
+    """Indices (i, j), i < j, of the lexicographically first crossing pair
+    of open intervals with finite ends, or None when all pairs are nested
+    or disjoint: the all-pairs oracle for the nesting forest."""
+    ivs = list(intervals)
+    return next(((i, j) for i in range(len(ivs)) for j in range(i + 1, len(ivs))
+                 if crosses(*ivs[i], *ivs[j])), None)
+
+
+def rand_closed_family(rng):
+    """0-8 closed index intervals with ends in 0..8, in either order, with
+    single points and repeats (also reversed)."""
+    out = []
+    for _ in range(rng.randint(0, 8)):
+        if out and rng.random() < 0.2:
+            out.append(rng.choice(out)[::rng.choice((1, -1))])
+        else:
+            a = rng.randint(0, 8)
+            out.append((a, a if rng.random() < 0.2 else rng.randint(0, 8)))
+    return out
+
+
 class TestCrossFreeCovers:
+    def test_sweep_matches_pairwise_oracle(self, jump_frames):
+        rng = random.Random("nesting")
+        seen = set()
+        for _ in range(10000):
+            family = rand_closed_family(rng)
+            ivs = [(min(iv), max(iv) + 1) for iv in family]
+            r = cf_cover_check(jump_frames[3], family)
+            parent, crossing = nesting_forest(ivs)
+            assert crossing == r["witness"]
+            assert r["crossFree"] == (crossing_pair(ivs) is None)
+            seen.add(r["crossFree"])
+            if crossing is not None:
+                i, j = crossing
+                assert i < j and crosses(*ivs[i], *ivs[j]), (family, crossing)
+                continue
+
+            def holders(i):
+                """The other intervals that contain interval i, less its later
+                copies: equal intervals nest in index order."""
+                return [j for j, (a, b) in enumerate(ivs) if a <= ivs[i][0]
+                        and ivs[i][1] <= b and (j < i or ivs[j] != ivs[i])]
+
+            size = [b - a for a, b in ivs]
+            for i, p in enumerate(parent):
+                if p is None:
+                    assert not holders(i), (family, i)
+                else:
+                    assert p in holders(i), (family, i)
+                    assert size[p] == min(size[j] for j in holders(i)), (family, i)
+                node = i
+                for _ in ivs:  # the parent chain ends at a root
+                    node = node if node is None else parent[node]
+                assert node is None, (family, i)
+            roots = [ivs[i] for i, p in enumerate(parent) if p is None]
+            assert all(a[1] <= b[0] or b[1] <= a[0]
+                       for n, a in enumerate(roots) for b in roots[n + 1:]), family
+        assert seen == {True, False}
+
     def test_crossing_predicate(self, jump_frames):
         frame = jump_frames[3]
         r = cf_cover_check(frame, [(0, 3), (2, 5)])
@@ -465,7 +532,7 @@ class TestCrossFreeCovers:
         assert not r["crossFree"] and r["witness"] == (0, 1)
         # adjacent closed intervals are disjoint
         assert cf_cover_check(frame, [(0, 2), (3, 5)])["crossFree"]
-        # the witness is the first crossing pair in lexicographic order
+        # the witness is the first crossing that the (a, -b) pass meets
         r = cf_cover_check(frame, [(0, 1), (2, 5), (4, 8)])
         assert not r["crossFree"] and r["witness"] == (1, 2)
         # equal intervals, and single indices inside an interval, are nested
