@@ -384,11 +384,7 @@ def cmd_relators(args) -> int:
 
 
 def cmd_cancel(args) -> int:
-    try:
-        verdict = cancellation_check(args.w1, args.w2)
-    except ValueError as e:
-        raise InputError(str(e)) from None
-    print("true" if verdict else "false")
+    print("true" if cancellation_check(args.w1, args.w2) else "false")
     return 0
 
 

@@ -58,10 +58,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    """'p/q', or 'p' for an integer: Fraction's own text form."""
+    return str(Fraction(x))
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -148,46 +146,29 @@ def exponent_vector(r: Fraction, primes: list[int]) -> list[int]:
 def _solve_integer_system(cols: list[list[int]], target: list[int]) -> list[int]:
     """Solve sum_j x_j * cols[j] = target for integer x, or raise NotInGroup.
 
-    Exact Gaussian elimination over Q; the caller guarantees the columns are
-    linearly independent so any solution is unique.
+    Fraction-free Gauss-Jordan on ints (Bareiss 1968): column c pivots in
+    row c, and every other row becomes row * pivot - row[c] * pivot_row,
+    divided exactly by the previous pivot.  Each row stays a nonzero multiple
+    of the one elimination over Q makes, so the two raise alike; x_i is one
+    exact division.  Independent columns make any solution unique.
     """
-    m, k = len(target), len(cols)
-    # augmented matrix, rows = primes
-    rows = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
-            for i in range(m)]
-    for c in range(k):  # column c pivots in row c
-        pr = next((i for i in range(c, m) if rows[i][c] != 0), None)
+    k, prev = len(cols), 1
+    rows = [list(row) for row in zip(*cols, target)]  # augmented, one row per prime
+    for c in range(k):
+        pr = next((i for i in range(c, len(rows)) if rows[i][c]), None)
         if pr is None:
             raise IndependenceViolation("generators are multiplicatively dependent")
         rows[c], rows[pr] = rows[pr], rows[c]
-        pv = rows[c][c]
-        rows[c] = [v / pv for v in rows[c]]
-        for i in range(m):
-            if i != c and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
-    # consistency: zero rows must have zero rhs
-    if any(rows[i][k] for i in range(k, m)):
+        piv, p = rows[c], rows[c][c]
+        rows = [row if row is piv else
+                [(a * p - row[c] * b) // prev for a, b in zip(row, piv)] for row in rows]
+        prev = p
+    if any(row[k] for row in rows[k:]):  # consistency: zero rows have zero rhs
         raise NotInGroup("no exponent vector exists")
-    sol = [rows[i][k] for i in range(k)]
-    if any(s.denominator != 1 for s in sol):
+    sol = [divmod(row[k], row[i]) for i, row in enumerate(rows[:k])]
+    if any(rem for _, rem in sol):
         raise NotInGroup("exponent vector is not integral")
-    return [int(s) for s in sol]
-
-
-def _solve_rank_one(cols: list[list[int]], target: list[int]) -> list[int]:
-    """_solve_integer_system for one column, raising as it does: one
-    integer division at the column's first nonzero entry."""
-    [col] = cols
-    i = next((i for i, c in enumerate(col) if c), None)
-    if i is None:
-        raise IndependenceViolation("generators are multiplicatively dependent")
-    if any(t * col[i] != c * target[i] for c, t in zip(col, target)):
-        raise NotInGroup("no exponent vector exists")
-    x, rem = divmod(target[i], col[i])
-    if rem:
-        raise NotInGroup("exponent vector is not integral")
-    return [x]
+    return [x for x, _ in sol]
 
 
 class SlopeGroup:
@@ -205,25 +186,20 @@ class SlopeGroup:
         self.generators = gens
         self.primes = primes
         self._cols = [exponent_vector(g, primes) for g in gens]
-        self._solve = _solve_rank_one if len(gens) == 1 else _solve_integer_system
-        # independence check: solving for 0 must give the zero vector, and
-        # the columns must have full rank
-        self._solve(self._cols, [0] * len(primes))
+        # independence check: the columns must have full rank
+        _solve_integer_system(self._cols, [0] * len(primes))
 
     @property
     def rank(self) -> int:
         return len(self.generators)
 
     def decompose(self, r) -> tuple[int, ...]:
-        return tuple(self._solve(self._cols, exponent_vector(r, self.primes)))
+        return tuple(_solve_integer_system(self._cols, exponent_vector(r, self.primes)))
 
     def product(self, vec) -> Fraction:
         if len(vec) != self.rank:
             raise DimensionMismatch(f"expected {self.rank} exponents")
-        out = Fraction(1)
-        for g, e in zip(self.generators, vec):
-            out *= g ** e
-        return out
+        return math.prod((g ** e for g, e in zip(self.generators, vec)), start=Fraction(1))
 
     def __repr__(self):
         return f"SlopeGroup({[str(g) for g in self.generators]})"

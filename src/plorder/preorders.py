@@ -235,6 +235,8 @@ class JumpEngine:
     def __init__(self, side: str = "right",
                  group: SlopeGroup | None = None,
                  order: LatticePreorder | None = None):
+        if side not in ("right", "left"):
+            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
         self.side = side
         self.group = group or SlopeGroup([2])
         self.order = order or LatticePreorder.lex(self.group.rank)

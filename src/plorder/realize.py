@@ -20,6 +20,7 @@ from bisect import bisect_left
 from itertools import groupby
 
 from .plgroup import PLMap, ball, expand_generators, nesting_forest
+from .preorders import _position
 
 
 class DynType(enum.Enum):
@@ -46,9 +47,8 @@ _COMPATIBLE = {
 
 def consistent(predicted: DynType, empirical: DynType) -> bool:
     """Empirical evidence may be weaker than the prediction, never opposite."""
-    if empirical is DynType.INCONCLUSIVE or predicted == empirical:
-        return True
-    return (predicted, empirical) in _COMPATIBLE
+    return (empirical is DynType.INCONCLUSIVE or predicted == empirical
+            or (predicted, empirical) in _COMPATIBLE)
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +219,45 @@ def _escape(frame: OrbitFrame, act, i: int, power_bound: int) -> str:
     return "bounded"
 
 
+def _outermost_fixed(g: PLMap, side: str):
+    """The raw position of g's outermost fixed point in a jump engine's
+    target on side (x on the right, -x on the left), read from g's integer
+    pieces from the focal end in; None when there is none or g's fixed set
+    reaches that end.  The unit interval's ends, fixed by all, do not count."""
+    e, ends = (1 if side == "right" else -1), [None, *g._b, None]
+    for i in range(len(g._p))[::-e]:
+        (sn, sd, on, od), lo, hi = g._p[i], ends[i], ends[i + 1]
+        if sn == sd and not on:  # an identity piece: its outer end
+            x = hi if e > 0 else lo
+            return x and _position(e * x[0], x[1])
+        n, d = on * sd, od * (sd - sn)  # x = o / (1 - s); none when d = 0
+        n, d = (n, d) if d > 0 else (-n, -d)
+        if (d and (lo is None or lo[0] * d <= n * lo[1])
+                and (hi is None or n * hi[1] <= hi[0] * d)
+                and (g.model == "line" or 0 < n < d)):
+            return _position(e * n, d)
+    return None
+
+
 def classify_empirical(frame: OrbitFrame, g, power_bound: int = 8) -> DynType:
     """Ordinal certificate for the dynamics of g on the realized order.
 
-    Fixed extreme cosets bracket every orbit (TotallyBounded); a one-sided
-    drift is TotallyBounded when interior quartile orbits stay inside the
-    frame span for power_bound steps in both directions.  Otherwise the
-    orbit of the top coset decides: escaping upward is expanding, escaping
-    upward under the inverse is contracting.  A clean single sign change in
-    the direction pattern with exactly one fixed coset upgrades a
-    pseudohomothety to a homothety.  Anything else is Inconclusive.
+    On a jump engine's frame, g is Inconclusive when it fixes a point at
+    or beyond the horizon, the outermost raw position of a key's top entry
+    (the frame sees g no further out).  Fixed extreme cosets bracket every
+    orbit (TotallyBounded); a one-sided drift is TotallyBounded when
+    interior quartile orbits stay inside the frame span for power_bound
+    steps in both directions.  Otherwise the orbit of the top coset
+    decides: escaping upward is expanding, escaping upward under the
+    inverse is contracting.  A clean single sign change in the direction
+    pattern with exactly one fixed coset upgrades a pseudohomothety to a
+    homothety.  Anything else is Inconclusive.
     """
     engine, keys = frame.engine, frame.keys
+    side = getattr(engine, "side", None)
+    outer = side and _outermost_fixed(g, side)
+    if outer and outer >= max((k[1][3] for k in keys if len(k) > 2), default=outer):
+        return DynType.INCONCLUSIVE
     act = engine.act(g)
     n = len(keys)
     idx = _sample_indices(n)
@@ -292,13 +319,12 @@ def classify_predicted(g: PLMap, side: str = "right") -> DynType:
     sn, sd, on, _ = g._p[-1] if side == "right" else g._p[0]
     if g.model == "unit":
         trivial, expanding = sn == sd, sn < sd
-        fixed_free = not any(hi > 0 and lo < 1 for lo, hi in g.fixed_structure().fixed)
     else:
         toward = on if side == "right" else -on
         trivial, expanding = sn == sd and on == 0, sn > sd or (sn == sd and toward > 0)
-        fixed_free = not g.fixed_structure().fixed
     if trivial:
         return DynType.TOTALLY_BOUNDED
+    fixed_free = _outermost_fixed(g, side) is None  # the germ is not trivial
     if expanding:
         return (DynType.HOMOTHETY_EXPANDING if fixed_free
                 else DynType.EXPANDING_PSEUDOHOMOTHETY)

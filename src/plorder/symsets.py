@@ -24,7 +24,7 @@ from functools import total_ordering
 from operator import itemgetter
 
 from .plante import MINUS_INFINITY
-from .plgroup import PLMap, int_log2
+from .plgroup import BudgetExceeded, PLMap, int_log2
 from .preorders import Sign
 
 
@@ -32,7 +32,7 @@ class NonDyadicMap(ValueError):
     pass
 
 
-class DepthExceeded(RuntimeError):
+class DepthExceeded(BudgetExceeded):
     """An image or a comparison split pieces past its refinement guard."""
 
 

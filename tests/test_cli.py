@@ -20,8 +20,9 @@ from plorder.cli import (
     parse_wreath_word,
 )
 from plorder.plante import WreathElement
-from plorder.plgroup import bs_g_plus, translation
+from plorder.plgroup import BudgetExceeded, bs_g_plus, translation
 from plorder.realize import build_frame
+from plorder.symsets import DepthExceeded
 
 
 class TestParsers:
@@ -109,6 +110,21 @@ class TestCommands:
 
     def test_twochain(self, capsys):
         assert main(["twochain", "f0", "f0"]) == 1  # hypothesis violated
+
+    def test_twochain_witness(self, capsys):
+        assert main(["twochain", "a", "b"]) == 0
+        assert capsys.readouterr().out == "2\n"
+        assert main(["twochain", "a", "b^-1"]) == 1
+        assert capsys.readouterr().err == (
+            "no witness: g moves points downward in the component\n")
+
+    @pytest.mark.parametrize("word, shown", [
+        ("t^2*h0*t^-1", "WreathElement({2:1}, shift=1)"),
+        ("h(3)*e", "WreathElement({3:1}, shift=0)"),
+    ])
+    def test_plante_word(self, word, shown, capsys):
+        assert main(["plante", "--word", word]) == 0
+        assert capsys.readouterr().out == f"{shown}\nsign: Positive\n"
 
     def test_classify(self, capsys):
         assert main(["classify", "--engine", "jump:right,lex",
@@ -334,6 +350,14 @@ class TestBadInput:
         self._rejects(["sign", "--engine", engine, "--word", word], capsys,
                       "input error: a product of up to")
 
+    # the symbolic engine's refinement guards are work budgets; they used to
+    # end in a DepthExceeded traceback and exit 1
+    @pytest.mark.parametrize("radius, word", [("2", "h^80"), ("3", "h^-80")])
+    def test_refinement_guard_is_a_budget(self, radius, word, capsys):
+        assert issubclass(DepthExceeded, BudgetExceeded)
+        self._rejects(["classify", "--engine", "ok", "--radius", radius,
+                       "--word", word], capsys, "input error: image refinement guard hit")
+
     def test_horograding_is_gone(self, capsys):
         # the focal end belongs to the engine, not to an option
         with pytest.raises(SystemExit) as e:
@@ -371,6 +395,12 @@ class TestBadInput:
 
     def test_h0_takes_no_arguments(self, capsys):
         self._rejects(["plante", "--word", "h0(3)"], capsys, "h0 takes no arguments")
+
+    def test_h_needs_a_position(self, capsys):
+        self._rejects(["plante", "--word", "h"], capsys, "h(n) needs a position")
+
+    def test_unknown_wreath_generator(self, capsys):
+        self._rejects(["plante", "--word", "q"], capsys, "unknown wreath generator 'q'")
 
 
 ENGINES = sorted(FROZEN_REALIZE_CSV) + ["restriction", "ok"]

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plorder.exactnum import (
+    IndependenceViolation,
     LatticePreorder,
     NotInGroup,
     PRIME_TEST_LIMIT,
     SlopeGroup,
     _solve_integer_system,
-    _solve_rank_one,
     exponent_vector,
     factorize,
     format_rational,
@@ -83,6 +84,39 @@ class TestIsPrime:
             is_prime(PRIME_TEST_LIMIT)
 
 
+def _fraction_solve(cols: list[list[int]], target: list[int]) -> list[int]:
+    """The oracle: Gauss-Jordan elimination over Q, raising as the solver
+    does.  Column c pivots in row c; the row is divided by its pivot."""
+    m, k = len(target), len(cols)
+    rows = [[Fraction(cols[j][i]) for j in range(k)] + [Fraction(target[i])]
+            for i in range(m)]
+    for c in range(k):
+        pr = next((i for i in range(c, m) if rows[i][c] != 0), None)
+        if pr is None:
+            raise IndependenceViolation("generators are multiplicatively dependent")
+        rows[c], rows[pr] = rows[pr], rows[c]
+        pv = rows[c][c]
+        rows[c] = [v / pv for v in rows[c]]
+        for i in range(m):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
+    if any(rows[i][k] for i in range(k, m)):
+        raise NotInGroup("no exponent vector exists")
+    sol = [rows[i][k] for i in range(k)]
+    if any(s.denominator != 1 for s in sol):
+        raise NotInGroup("exponent vector is not integral")
+    return [int(s) for s in sol]
+
+
+def _outcome(f, *args):
+    """f's result, or the type and message of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
 class TestSlopeGroup:
     def test_decompose_single(self):
         g = SlopeGroup([2])
@@ -98,11 +132,16 @@ class TestSlopeGroup:
 
     def test_rejects_dependent_generators(self):
         # 4 = 2^2 is multiplicatively dependent on 2
-        from plorder.exactnum import IndependenceViolation
         with pytest.raises(IndependenceViolation):
             SlopeGroup([2, 4])
-        with pytest.raises(IndependenceViolation):  # the rank-one path
+        with pytest.raises(IndependenceViolation):  # a zero column
             SlopeGroup([1])
+        # dependent columns, and more columns than primes, fail as the oracle does
+        for cols in ([[1], [2]], [[0]], [[1, 0], [0, 0]], [[1, 1], [2, 2]],
+                     [[1, 0], [0, 1], [1, 1]]):
+            expected = _outcome(_fraction_solve, cols, [0] * len(cols[0]))
+            assert expected[0] is IndependenceViolation
+            assert _outcome(_solve_integer_system, cols, [0] * len(cols[0])) == expected
 
     @pytest.mark.parametrize("gen, outcomes", [
         (2, {"solved"}),
@@ -113,25 +152,50 @@ class TestSlopeGroup:
         # every exponent vector in a box over the generator's primes: the
         # integral multiples of its column, the vectors on its line that are
         # not integral multiples, and the vectors off its line
-        def solve(f, *args):
-            try:
-                return f(*args)
-            except ValueError as e:
-                return type(e), str(e)
-
         gen = Fraction(gen)
         primes = sorted(factorize(gen.numerator) | factorize(gen.denominator))
         col, group = exponent_vector(gen, primes), SlopeGroup([gen])
         seen = set()
         for target in map(list, product(range(-4, 5), repeat=len(primes))):
-            expected = solve(_solve_integer_system, [col], target)
-            assert solve(_solve_rank_one, [col], target) == expected, target
+            expected = _outcome(_fraction_solve, [col], target)
+            assert _outcome(_solve_integer_system, [col], target) == expected, target
             seen.add(expected[1] if isinstance(expected, tuple) else "solved")
             if isinstance(expected, list):
                 assert group.decompose(group.product(expected)) == tuple(expected)
         assert seen == outcomes
         with pytest.raises(NotInGroup, match="not available"):
             group.decompose(Fraction(5, 7))
+
+    @pytest.mark.parametrize("gens", [
+        [2], [4], [Fraction(3, 2)], [6], [2, 3], [2, Fraction(3, 2)], [6, 10],
+        [4, 9], [12, 18], [2, 3, 5], [3, 2]], ids=lambda gens: ",".join(map(str, gens)))
+    def test_integer_elimination_is_fraction_elimination(self, gens):
+        # every exponent vector in the box [-4, 4]^m over the generators'
+        # primes: the same solution, or the same error type and message
+        group = SlopeGroup(gens)
+        for target in map(list, product(range(-4, 5), repeat=len(group.primes))):
+            expected = _outcome(_fraction_solve, group._cols, target)
+            assert _outcome(_solve_integer_system, group._cols, target) == expected, target
+            if isinstance(expected, list):
+                r = group.product(expected)
+                assert exponent_vector(r, group.primes) == target
+                assert group.decompose(r) == tuple(expected)
+            else:
+                assert expected[0] is NotInGroup
+
+    def test_integer_elimination_on_random_systems(self):
+        # seeded integer systems, 1-3 columns over 1-4 rows: singular ones,
+        # zero pivots that need a row swap, and targets on and off the lattice
+        rng = random.Random(0)
+        for _ in range(3000):
+            m, k, r = rng.randint(1, 4), rng.randint(1, 3), rng.choice([1, 2, 3])
+            cols = [[rng.randint(-r, r) for _ in range(m)] for _ in range(k)]
+            target = [rng.randint(-6, 6) for _ in range(m)]
+            if rng.random() < 0.5:  # a lattice point
+                x = [rng.randint(-3, 3) for _ in range(k)]
+                target = [sum(xj * col[i] for xj, col in zip(x, cols)) for i in range(m)]
+            got = _outcome(_solve_integer_system, cols, target)
+            assert got == _outcome(_fraction_solve, cols, target), (cols, target)
 
     def test_decompose_exhaustive_oracle(self):
         # oracle: exhaustive search over small exponent boxes

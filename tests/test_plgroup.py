@@ -57,6 +57,26 @@ class TestPLMap:
         assert f(F(1, 2)) == F(1, 4)
         assert f(F(3, 4)) == F(5, 8)
 
+    @pytest.mark.parametrize("args, reason", [
+        (("circle", [], [1], [0]), "unknown model 'circle'"),
+        (("line", [1], [1], [0]), "need one piece per interval"),
+        (("line", [], [0], [0]), "slopes must be positive"),
+        (("line", [2, 1], [1, 2, 1], [0, -2, -1]), "must be strictly increasing"),
+        (("line", [1], [1, 2], [0, 0]), "discontinuous at 1"),
+        (("unit", [F(3, 2)], [1, 2], [0, F(-3, 2)]), "breakpoints must lie in (0,1)"),
+        (("unit", [], [1], [F(1, 2)]), "must fix 0"),
+        (("unit", [], [2], [0]), "must fix 1"),
+    ], ids=["model", "pieces", "slope", "order", "continuity", "unit-breakpoint",
+            "unit-0", "unit-1"])
+    def test_refusals(self, args, reason):
+        with pytest.raises(ValueError) as e:
+            PLMap(*args)
+        assert reason in str(e.value)
+
+    def test_from_points_needs_two_points(self):
+        with pytest.raises(ValueError, match="need at least two points"):
+            PLMap.from_points("line", [(0, 0)])
+
     def test_serialization_roundtrip(self):
         for g in (f_big_generator(), translation(F(3, 2)), bs_g_plus(0, 2)):
             assert PLMap.from_text(g.to_text()) == g

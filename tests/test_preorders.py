@@ -138,6 +138,13 @@ class TestJump:
     def test_translations_are_residue(self):
         assert JumpEngine("right").sign(translation(F(7, 3))) == Sign.RESIDUE
 
+    @pytest.mark.parametrize("side", ["up", "Right", ""])
+    def test_rejects_unknown_side(self, side):
+        # any side but "right" used to key silently as the left engine
+        with pytest.raises(ValueError) as e:
+            JumpEngine(side)
+        assert str(e.value) == f"side must be 'right' or 'left', got {side!r}"
+
 
 class TestPrimeJump:
     def test_pure_powers(self):

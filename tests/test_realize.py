@@ -4,7 +4,7 @@ from operator import itemgetter
 
 import pytest
 
-from plorder import cli
+from plorder import cli, realize
 from plorder.cli import _DEFAULT_FAMILY, _FAMILIES, main, parse_engine
 from plorder.exactnum import SlopeGroup
 from plorder.plante import CSet, PlanteEngine, WreathElement
@@ -17,7 +17,7 @@ from plorder.plgroup import (
     nesting_forest,
     translation,
 )
-from plorder.preorders import JumpEngine, PrimeJumpEngine
+from plorder.preorders import JumpEngine, PrimeJumpEngine, _position
 from plorder.realize import (
     DynType,
     OrbitFrame,
@@ -387,15 +387,12 @@ class TestPredictionSweep:
     engine's focal end.  These are the engines classify prints a
     prediction for: the four jump engines (BS(2)), escaping (F, focused at
     1) and ok (the line pair, focused at +infinity).
-
-    The right jump engines are swept at r5 only: at r4 their frame does not
-    reach x = 4, the only fixed point of t(1)*t(1)*g+(0,2)^-1 and of
-    g+(0,2)*t(1)^-1*t(1)^-1, and both read opposite to the prediction there.
     """
 
     @pytest.mark.parametrize("desc, radius", [
         ("jump:left,lex", 4), ("jump:left,lex", 5), ("jump:left,opp", 4),
-        ("jump:left,opp", 5), ("jump:right,lex", 5), ("jump:right,opp", 5),
+        ("jump:left,opp", 5), ("jump:right,lex", 4), ("jump:right,lex", 5),
+        ("jump:right,opp", 4), ("jump:right,opp", 5),
         ("escaping", 4), ("escaping", 5), ("ok", 4), ("ok", 5)])
     def test_consistent(self, desc, radius):
         engine = parse_engine(desc)
@@ -408,6 +405,47 @@ class TestPredictionSweep:
                if not consistent(classify_predicted(g, side),
                                  classify_empirical(frame, g))]
         assert bad == []
+
+    # x = 4 is the only fixed point of both words.  The right engines' r4
+    # frame reaches 4 and no further, and both words used to read opposite
+    # to the prediction there; the r5 frame reaches 8 and reads them
+    @pytest.mark.parametrize("desc", ["jump:right,lex", "jump:right,opp"])
+    @pytest.mark.parametrize("word", ["t(1)*t(1)*g+(0,2)^-1",
+                                      "g+(0,2)*t(1)^-1*t(1)^-1"])
+    def test_fixed_point_at_the_horizon(self, desc, word):
+        engine, gens = parse_engine(desc), _FAMILIES["bs2"]()
+        g = cli.parse_family_word(word, gens)
+        assert [x for x, _ in g.fixed_structure().fixed] == [4]
+        frames = {radius: orbit_frame(engine, gens, radius) for radius in (4, 5)}
+        for radius, horizon in ((4, 4), (5, 8)):
+            keys = frames[radius].keys
+            assert max(k[1][3] for k in keys if len(k) > 2) == _position(horizon, 1)
+        assert classify_empirical(frames[4], g) is DynType.INCONCLUSIVE
+        emp = classify_empirical(frames[5], g)
+        assert emp.conclusive and consistent(classify_predicted(g, "right"), emp)
+
+
+class TestOutermostFixed:
+    @pytest.mark.parametrize("family", ["bs2", "thompsonF", "line"])
+    def test_matches_fixed_structure(self, family):
+        # the oracle: the outer end of fixed_structure's outermost part,
+        # skipped when it reaches the focal end; the unit interval's ends,
+        # fixed by every map, do not count
+        checked = 0
+        for g in ball(_FAMILIES[family](), 4):
+            fixed = g.fixed_structure().fixed
+            if g.model == "unit":
+                fixed = [(lo, hi) for lo, hi in fixed if hi > 0 and lo < 1]
+            outer = {"right": fixed[-1][1], "left": fixed[0][0]} if fixed else {}
+            for side, e, end in (("right", 1, 1), ("left", -1, 0)):
+                x = outer.get(side)
+                if x is None or (g.model == "unit" and x == end):
+                    expected = None
+                else:
+                    expected = _position(e * x.numerator, x.denominator)
+                assert realize._outermost_fixed(g, side) == expected, (g, side)
+                checked += expected is not None
+        assert checked > 50
 
 
 class TestClassifyEmpirical:
