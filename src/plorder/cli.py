@@ -318,7 +318,11 @@ def cmd_realize(args) -> int:
     frame = build_frame(engine, gens, radius=radius)
     emit = _emit_csv if args.emit == "csv" else _emit_svg
     if args.output:
-        with open(args.output, "w") as out:
+        try:
+            out = open(args.output, "w")
+        except OSError as e:
+            raise InputError(f"cannot write {args.output!r}: {e.strerror}") from None
+        with out:
             emit(frame, gens, out)
     else:
         emit(frame, gens, sys.stdout)

@@ -271,47 +271,41 @@ class PLMap:
 
     # -- structure ----------------------------------------------------------
 
-    def _piece_domains(self):
-        """Yield (lo, hi, slope, offset); lo/hi None for +-inf."""
-        lo = Fraction(0) if self.model == "unit" else None
-        bounds = list(self.breakpoints) + [Fraction(1) if self.model == "unit" else None]
-        for (s, o), hi in zip(zip(self.slopes, self.offsets), bounds):
-            yield lo, hi, s, o
-            lo = hi
+    def _ends(self) -> tuple:
+        """The domain's ends as storage pairs; None for -inf/+inf."""
+        return ((0, 1), (1, 1)) if self.model == "unit" else (None, None)
+
+    def _fixed(self) -> list:
+        """The closed maximal fixed intervals (lo, hi) in increasing order,
+        each end a pair (n, d) in lowest terms, d > 0, or None for -inf/+inf:
+        the identity pieces, and the point o/(1 - s) of each piece
+        x -> s*x + o, s != 1, that lies on the piece; parts sharing an end
+        merge.  The unit interval's ends are included."""
+        start, end = self._ends()
+        ends, out = [start, *self._b, end], []
+        for (sn, sd, on, od), lo, hi in zip(self._p, ends, ends[1:]):
+            if sn != sd:
+                n, d = on * sd, od * (sd - sn)
+                n, d = (n, d) if d > 0 else (-n, -d)
+                if (lo and lo[0] * d > n * lo[1]) or (hi and n * hi[1] > hi[0] * d):
+                    continue
+                lo = hi = _lowest(n, d)
+            elif on:
+                continue
+            if out and out[-1][1] == lo:
+                lo = out.pop()[0]
+            out.append((lo, hi))
+        return out
 
     def fixed_structure(self) -> FixedStructure:
-        fixed = []
-        for lo, hi, s, o in self._piece_domains():
-            if s == 1:
-                if o == 0:
-                    fixed.append((lo, hi))
-                continue
-            x = o / (1 - s)
-            if (lo is None or lo <= x) and (hi is None or x <= hi):
-                fixed.append((x, x))
-        # merge adjacent fixed parts sharing an endpoint
-        merged = []
-        for part in fixed:
-            if merged and merged[-1][1] == part[0]:
-                merged[-1] = (merged[-1][0], part[1])
-            else:
-                merged.append(part)
-        # support components = complement of the fixed set within the domain
-        support = []
-        left = Fraction(0) if self.model == "unit" else None
-        for lo, hi in merged:
-            if lo is None:
-                left = hi
-                continue
-            if left is None or left < lo:
-                support.append((left, lo))
-            left = hi
-        right_end = Fraction(1) if self.model == "unit" else None
-        if left is not None and (right_end is None or left < right_end):
-            support.append((left, right_end))
-        elif not merged:
-            support.append((left, right_end))
-        return FixedStructure(merged, support)
+        """_fixed() in Fractions; the support is the gaps between its parts
+        and the domain's ends (all of the line when nothing is fixed)."""
+        def frac(x):
+            return x and Fraction(*x)
+        fixed = [(frac(lo), frac(hi)) for lo, hi in self._fixed()]
+        start, end = map(frac, self._ends())
+        gaps = zip([start] + [hi for _, hi in fixed], [lo for lo, _ in fixed] + [end])
+        return FixedStructure(fixed, [(a, b) for a, b in gaps if a != b or not fixed])
 
     def support(self) -> list:
         return self.fixed_structure().support

@@ -210,10 +210,17 @@ def _breaks(g: PLMap, side: str) -> list:
     return out[::-1] if side == "right" else out
 
 
+def _focal(side: str) -> int:
+    """+1 for the focal end "right", -1 for "left"; any other side raises."""
+    if side not in ("right", "left"):
+        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+    return 1 if side == "right" else -1
+
+
 def _push(g: PLMap, side: str):
     """p -> the raw position of g(y), for p that of y = +-n/d, through g's
     integer pieces: the piece found by cross-multiplication."""
-    e, bps, pieces = 1 if side == "right" else -1, g._b, g._p
+    e, bps, pieces = _focal(side), g._b, g._p
 
     def push(p: tuple) -> tuple:
         n, d = e * p[1], p[2]
@@ -235,8 +242,7 @@ class JumpEngine:
     def __init__(self, side: str = "right",
                  group: SlopeGroup | None = None,
                  order: LatticePreorder | None = None):
-        if side not in ("right", "left"):
-            raise ValueError(f"side must be 'right' or 'left', got {side!r}")
+        _focal(side)
         self.side = side
         self.group = group or SlopeGroup([2])
         self.order = order or LatticePreorder.lex(self.group.rank)

@@ -20,7 +20,7 @@ from bisect import bisect_left
 from itertools import groupby
 
 from .plgroup import PLMap, ball, expand_generators, nesting_forest
-from .preorders import _position
+from .preorders import _focal, _position
 
 
 class DynType(enum.Enum):
@@ -190,10 +190,10 @@ _SAMPLES = 48  # the frame indices classify_empirical reads first
 
 
 def _sample_indices(n: int) -> list[int]:
+    """The integers nearest i * (n - 1) / 47, i < 48: no ties, 47 being odd."""
     if n <= _SAMPLES:
         return list(range(n))
-    step = (n - 1) / (_SAMPLES - 1)
-    return sorted({round(i * step) for i in range(_SAMPLES)})
+    return [(i * (n - 1) + 23) // 47 for i in range(_SAMPLES)]
 
 
 def _escape(frame: OrbitFrame, act, i: int, power_bound: int) -> str:
@@ -221,21 +221,15 @@ def _escape(frame: OrbitFrame, act, i: int, power_bound: int) -> str:
 
 def _outermost_fixed(g: PLMap, side: str):
     """The raw position of g's outermost fixed point in a jump engine's
-    target on side (x on the right, -x on the left), read from g's integer
-    pieces from the focal end in; None when there is none or g's fixed set
+    target on side (x on the right, -x on the left), read from g._fixed()
+    from the focal end in; None when there is none or g's fixed set
     reaches that end.  The unit interval's ends, fixed by all, do not count."""
-    e, ends = (1 if side == "right" else -1), [None, *g._b, None]
-    for i in range(len(g._p))[::-e]:
-        (sn, sd, on, od), lo, hi = g._p[i], ends[i], ends[i + 1]
-        if sn == sd and not on:  # an identity piece: its outer end
-            x = hi if e > 0 else lo
-            return x and _position(e * x[0], x[1])
-        n, d = on * sd, od * (sd - sn)  # x = o / (1 - s); none when d = 0
-        n, d = (n, d) if d > 0 else (-n, -d)
-        if (d and (lo is None or lo[0] * d <= n * lo[1])
-                and (hi is None or n * hi[1] <= hi[0] * d)
-                and (g.model == "line" or 0 < n < d)):
-            return _position(e * n, d)
+    e, ends = _focal(side), g._ends()
+    for lo, hi in g._fixed()[::-e]:
+        if lo == hi and hi in ends:  # a unit end point alone, or all of the line
+            continue
+        x = hi if e > 0 else lo
+        return None if x == ends[e > 0] else _position(e * x[0], x[1])
     return None
 
 
@@ -314,14 +308,12 @@ def classify_predicted(g: PLMap, side: str = "right") -> DynType:
     expands); a pseudohomothety upgrades to a homothety when g has no fixed
     points in the model (interior fixed points, for the unit model).
     """
-    if side not in ("right", "left"):
-        raise ValueError(f"side must be 'right' or 'left', got {side!r}")
-    sn, sd, on, _ = g._p[-1] if side == "right" else g._p[0]
+    e = _focal(side)
+    sn, sd, on, _ = g._p[-1] if e > 0 else g._p[0]
     if g.model == "unit":
         trivial, expanding = sn == sd, sn < sd
     else:
-        toward = on if side == "right" else -on
-        trivial, expanding = sn == sd and on == 0, sn > sd or (sn == sd and toward > 0)
+        trivial, expanding = sn == sd and on == 0, sn > sd or (sn == sd and e * on > 0)
     if trivial:
         return DynType.TOTALLY_BOUNDED
     fixed_free = _outermost_fixed(g, side) is None  # the germ is not trivial

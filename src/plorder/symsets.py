@@ -49,47 +49,23 @@ def cancellation_check(w1: str, w2: str, bound: int | None = None) -> bool:
 
     A failure is witnessed by a proper nonempty prefix p of w1 or w2 from
     which the overhang automaton (states: the |p| pending bits carried into
-    the next parsed block) admits an infinite run.  The automaton is exact;
-    `bound` is accepted for interface compatibility and ignored.
+    the next parsed block) admits an infinite run.  From p it reaches only
+    p and the last |p| bits of w1 or w2, so a run of three steps revisits a
+    state, and an infinite run exists iff a three-step run does.  The
+    automaton is exact; `bound` is accepted for interface compatibility and
+    ignored.
     """
     W = len(w1)
     if len(w2) != W or w1 == w2:
         raise ValueError("need two distinct words of equal length")
-    starts = {w[:i] for w in (w1, w2) for i in range(1, W)}
-    for p in starts:
-        if _has_infinite_run(p, w1, w2):
+    for p in {w[:i] for w in (w1, w2) for i in range(1, W)}:
+        n, states = len(p), {p}
+        for _ in range(3):
+            states = {b[W - n:] for q in states for b in (w1, w2)
+                      if q + b[:W - n] in (w1, w2)}
+        if states:
             return False
     return True
-
-
-def _has_infinite_run(p: str, w1: str, w2: str) -> bool:
-    W = len(w1)
-    n = len(p)
-    succ: dict[str, set[str]] = {}
-
-    def outs(q: str) -> set[str]:
-        if q not in succ:
-            out = set()
-            for b in (w1, w2):
-                if q + b[:W - n] in (w1, w2):
-                    out.add(b[W - n:])
-            succ[q] = out
-        return succ[q]
-
-    # an infinite run exists iff p reaches a cycle: depth-first search from
-    # p meets a state still on its stack
-    color: dict[str, int] = {}
-
-    def has_cycle(q: str) -> bool:
-        color[q] = 1
-        for r in outs(q):
-            c = color.get(r, 0)
-            if c == 1 or (c == 0 and has_cycle(r)):
-                return True
-        color[q] = 2
-        return False
-
-    return has_cycle(p)
 
 
 class WordPair:

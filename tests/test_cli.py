@@ -281,6 +281,13 @@ class TestBadInput:
         self._rejects(["classify", "--radius", "-1", "--word", "t(1)"], capsys,
                       "--radius must be at least 1")
 
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_realize_output_is_unwritable(self, where, tmp_path, capsys):
+        path = str(tmp_path / "missing" / "x.csv" if where == "missing-directory"
+                   else tmp_path)
+        self._rejects(["realize", "--radius", "2", "-o", path], capsys,
+                      f"cannot write {path!r}")
+
     def test_realize_radius_zero(self, capsys):
         self._rejects(["realize", "--radius", "0"], capsys,
                       "--radius must be at least 1")

@@ -2,10 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, strategies as st
 
 from plorder.plgroup import (
     PRODUCT_BUDGET,
     BudgetExceeded,
+    FixedStructure,
     HypothesisFailed,
     NoWitness,
     PLMap,
@@ -26,6 +28,7 @@ from plorder.plgroup import (
 )
 from plorder.cli import _FAMILIES
 from plorder.plante import WreathElement
+from test_compose import maps, odd_pair
 
 
 class TestPLMap:
@@ -104,6 +107,104 @@ class TestPLMap:
             "unit", [(0, 0), (F(1, 4), F(1, 4)), (F(1, 2), F(9, 16)),
                      (F(5, 8), F(5, 8)), (1, 1)])
         assert f.support() == [(F(1, 4), F(5, 8))]
+
+
+# ---------------------------------------------------------------------------
+# The Fraction oracle: fixed_structure as it was before it read _fixed(),
+# a walk over the pieces' Fraction views
+# ---------------------------------------------------------------------------
+
+def fraction_piece_domains(g: PLMap):
+    """Yield (lo, hi, slope, offset); lo/hi None for +-inf."""
+    lo = F(0) if g.model == "unit" else None
+    bounds = list(g.breakpoints) + [F(1) if g.model == "unit" else None]
+    for (s, o), hi in zip(zip(g.slopes, g.offsets), bounds):
+        yield lo, hi, s, o
+        lo = hi
+
+
+def fraction_fixed_structure(g: PLMap) -> FixedStructure:
+    fixed = []
+    for lo, hi, s, o in fraction_piece_domains(g):
+        if s == 1:
+            if o == 0:
+                fixed.append((lo, hi))
+            continue
+        x = o / (1 - s)
+        if (lo is None or lo <= x) and (hi is None or x <= hi):
+            fixed.append((x, x))
+    # merge adjacent fixed parts sharing an endpoint
+    merged = []
+    for part in fixed:
+        if merged and merged[-1][1] == part[0]:
+            merged[-1] = (merged[-1][0], part[1])
+        else:
+            merged.append(part)
+    # support components = complement of the fixed set within the domain
+    support = []
+    left = F(0) if g.model == "unit" else None
+    for lo, hi in merged:
+        if lo is None:
+            left = hi
+            continue
+        if left is None or left < lo:
+            support.append((left, lo))
+        left = hi
+    right_end = F(1) if g.model == "unit" else None
+    if left is not None and (right_end is None or left < right_end):
+        support.append((left, right_end))
+    elif not merged:
+        support.append((left, right_end))
+    return FixedStructure(merged, support)
+
+
+def _off_dyadic() -> dict:
+    """Slopes 3 and 1/2 and a breakpoint at 1/3: fixed points off the dyadics."""
+    return {"t": translation(1), "g": bs_g(0, 3), "g+": bs_g_plus(F(1, 3), 3),
+            "g-": bs_g_minus(2, F(1, 2))}
+
+
+def _assert_fixed_matches(g: PLMap):
+    want = fraction_fixed_structure(g)
+    assert g.fixed_structure() == want, g
+    assert g.support() == want.support, g
+    for lo, hi in g._fixed():  # the storage form: lowest terms, d > 0
+        for x in (lo, hi):
+            assert x is None or (x[1] > 0 and F(*x).as_integer_ratio() == x), g
+
+
+class TestFixedStructure:
+    """fixed_structure reads the integer pieces through _fixed(); the
+    Fraction walk above is its oracle."""
+
+    @pytest.mark.parametrize("family, radius, size", [
+        ("bs2", 5, 475), ("thompsonF", 5, 485), ("fplus", 5, 475), ("line", 4, 161),
+        ("offDyadic", 3, 451)])
+    def test_matches_fraction_oracle_on_balls(self, family, radius, size):
+        gens = _off_dyadic() if family == "offDyadic" else _FAMILIES[family]()
+        elements = list(ball(gens, radius))
+        assert len(elements) == size
+        for g in elements:
+            _assert_fixed_matches(g)
+        assert sum(len(g.support()) > 1 for g in elements) > 10
+
+    @given(st.sampled_from(["unit", "line"]).flatmap(maps))
+    def test_matches_fraction_oracle_on_dyadic_maps(self, g):
+        _assert_fixed_matches(g)
+
+    @given(odd_pair())
+    def test_matches_fraction_oracle_off_the_dyadics(self, fg):
+        for g in fg:
+            _assert_fixed_matches(g)
+
+    def test_unit_ends_and_the_whole_line(self):
+        assert PLMap.identity("unit")._fixed() == [((0, 1), (1, 1))]
+        assert f_big_generator()._fixed() == [((0, 1),) * 2, ((1, 1),) * 2]
+        assert PLMap.identity("line")._fixed() == [(None, None)]
+        assert translation(1)._fixed() == []
+        assert translation(1).support() == [(None, None)]
+        assert bs_g(2, F(1, 2))._fixed() == [((2, 1),) * 2]
+        assert bs_g_minus(2, F(1, 2))._fixed() == [((2, 1), None)]
 
 
 # one element of each kind ** shares: a unit map, a line map, a wreath element

@@ -29,6 +29,7 @@ from plorder.realize import (
     induced_map,
     orbit_frame,
 )
+from test_plgroup import fraction_fixed_structure
 
 
 class TestConsistency:
@@ -349,7 +350,8 @@ def _mirror(g: PLMap) -> PLMap:
 
 def mirrored_predicted(g: PLMap, side: str = "right") -> DynType:
     """classify_predicted read off validated maps: the left end is the right
-    end of the mirror image, and the germ comes from the Fraction views."""
+    end of the mirror image, the germ comes from the Fraction views and the
+    fixed points from the Fraction walk fraction_fixed_structure."""
     if side == "left":
         g = _mirror(g)
     if g.is_identity():
@@ -357,10 +359,10 @@ def mirrored_predicted(g: PLMap, side: str = "right") -> DynType:
     s, c = g.slopes[-1], g.offsets[-1]
     if g.model == "unit":
         trivial, expanding = s == 1, s < 1
-        fixed_free = not any(hi > 0 and lo < 1 for lo, hi in g.fixed_structure().fixed)
+        fixed_free = not any(hi > 0 and lo < 1 for lo, hi in fraction_fixed_structure(g).fixed)
     else:
         trivial, expanding = s == 1 and c == 0, s > 1 or (s == 1 and c > 0)
-        fixed_free = not g.fixed_structure().fixed
+        fixed_free = not fraction_fixed_structure(g).fixed
     if trivial:
         return DynType.TOTALLY_BOUNDED
     if expanding:
@@ -428,12 +430,12 @@ class TestPredictionSweep:
 class TestOutermostFixed:
     @pytest.mark.parametrize("family", ["bs2", "thompsonF", "line"])
     def test_matches_fixed_structure(self, family):
-        # the oracle: the outer end of fixed_structure's outermost part,
+        # the oracle: the outer end of the Fraction walk's outermost part,
         # skipped when it reaches the focal end; the unit interval's ends,
         # fixed by every map, do not count
         checked = 0
         for g in ball(_FAMILIES[family](), 4):
-            fixed = g.fixed_structure().fixed
+            fixed = fraction_fixed_structure(g).fixed
             if g.model == "unit":
                 fixed = [(lo, hi) for lo, hi in fixed if hi > 0 and lo < 1]
             outer = {"right": fixed[-1][1], "left": fixed[0][0]} if fixed else {}
@@ -446,6 +448,14 @@ class TestOutermostFixed:
                 assert realize._outermost_fixed(g, side) == expected, (g, side)
                 checked += expected is not None
         assert checked > 50
+
+
+def test_sample_indices_round_exactly():
+    # the oracle rounds i * (n - 1) / 47 as a Fraction; it never ties
+    for n in range(5001):
+        want = (sorted({round(F(i * (n - 1), 47)) for i in range(48)}) if n > 48
+                else list(range(n)))
+        assert realize._sample_indices(n) == want, n
 
 
 class TestClassifyEmpirical:

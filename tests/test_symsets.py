@@ -1,5 +1,6 @@
 import random
 from bisect import bisect_right
+from itertools import permutations, product
 from fractions import Fraction as F
 
 import pytest
@@ -217,7 +218,52 @@ def ok_ball():
             "images": {g: base.image(g) for g in elements}}
 
 
+def dfs_has_infinite_run(p: str, w1: str, w2: str) -> bool:
+    """The oracle: depth-first search of the overhang automaton from p for
+    a state still on its stack, as the check ran before it became a
+    three-step reachability test."""
+    W = len(w1)
+    n = len(p)
+    succ: dict[str, set[str]] = {}
+
+    def outs(q: str) -> set[str]:
+        if q not in succ:
+            out = set()
+            for b in (w1, w2):
+                if q + b[:W - n] in (w1, w2):
+                    out.add(b[W - n:])
+            succ[q] = out
+        return succ[q]
+
+    color: dict[str, int] = {}
+
+    def has_cycle(q: str) -> bool:
+        color[q] = 1
+        for r in outs(q):
+            c = color.get(r, 0)
+            if c == 1 or (c == 0 and has_cycle(r)):
+                return True
+        color[q] = 2
+        return False
+
+    return has_cycle(p)
+
+
 class TestCancellation:
+    def test_three_steps_match_the_dfs(self):
+        # every ordered pair of distinct binary words of length <= 7
+        checked = failed = 0
+        for length in range(1, 8):
+            words = ["".join(bits) for bits in product("01", repeat=length)]
+            for w1, w2 in permutations(words, 2):
+                starts = {w[:i] for w in (w1, w2) for i in range(1, length)}
+                want = not any(dfs_has_infinite_run(p, w1, w2) for p in starts)
+                assert cancellation_check(w1, w2) == want, (w1, w2)
+                checked += 1
+                failed += not want
+        assert checked == sum(4 ** k - 2 ** k for k in range(1, 8))
+        assert 0 < failed < checked
+
     def test_known_pairs(self):
         assert cancellation_check("0", "1", bound=20)
         assert cancellation_check("10001", "01110", bound=20)
